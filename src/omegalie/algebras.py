@@ -13,7 +13,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, Vector, nullspace, rat, solve_linear
+from .linalg import (
+    Matrix,
+    Subspace,
+    Vector,
+    _int_matmul,
+    _integer_numerators,
+    nullspace,
+    solve_linear,
+)
 from .reports import Report
 
 # Eligibility rules for the distinguished central element used by the
@@ -79,32 +87,15 @@ class OmegaLieAlgebra:
                 out = out + (xi * yj) * self.table[i][j]
         return out
 
-    def r_of(self, x: Vector) -> Fraction:
-        if self.r is None:
-            raise ValueError("algebra has no linear form r")
-        return self.r.dot(x)
-
     def omega_basis(self, i: int, j: int) -> Fraction:
         """Twist value on a basis pair, via r([.,.]) in the multiplicative flavor."""
         if self.r is not None:
             return self.r.dot(self.table[i][j])
         return self.omega[i, j]
 
-    def omega_of(self, x: Vector, y: Vector) -> Fraction:
-        if self.r is not None:
-            return self.r.dot(self.bracket(x, y))
-        return x.dot(self.omega.apply(y))
-
     def ad1(self, i: int) -> Matrix:
         """Matrix of y -> [e_i, y]."""
         return Matrix.from_columns([self.table[i][j] for j in range(self.dim)])
-
-    def ad1_of(self, x: Vector) -> Matrix:
-        m = Matrix.zero(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                m = m + xi * self.ad1(i)
-        return m
 
 
 def abelian(dim: int, r: Optional[Vector] = None, label: str = "") -> OmegaLieAlgebra:
@@ -199,40 +190,73 @@ class LeftSymmetricAlgebra:
 
 def check_omega_lie(algebra: OmegaLieAlgebra) -> Report:
     """Anticommutativity and the twisted Jacobi identity on all basis triples."""
-    n = algebra.dim
     report = Report(f"omega-lie axioms [{algebra.label or 'unnamed'}]")
-    anti = report.clause("anticommutativity")
+    _jacobi_clauses(
+        report, "anticommutativity", algebra.table, algebra.table, algebra.r, algebra.omega
+    )
+    return report
+
+
+def _pullback(r: Vector, pairs: list, den: int) -> tuple[list, int]:
+    """Numerators of r([e_i, e_j]) as rows, from the bracket numerators
+    ``pairs`` over ``den``, with their common denominator."""
+    (rn,), dr = _integer_numerators([r])
+    n = len(rn)
+    return [
+        [sum(a * b for a, b in zip(rn, pairs[i * n + j])) for j in range(n)] for i in range(n)
+    ], dr * den
+
+
+def _jacobi_clauses(report: Report, anti_name: str, table1, table2, r, omega) -> None:
+    """Anticommutativity of the first bracket, then the twisted Jacobi
+    identity [[e_i, e_j]_1, e_k]_2 + cyclic = w(e_i, e_j) e_k + cyclic on
+    all basis triples in C order, where w is ``omega`` or else r pulled back
+    through the first bracket.  An omega-Lie algebra is the case
+    table2 = table1.
+
+    Both sides are integer numerators, each scaled by the other side's
+    denominator.
+    """
+    n = len(table1)
+    # pairs[i*n + j] is [e_i, e_j]_1; by_first[p][k*n + t] is the e_t entry of [e_p, e_k]_2
+    pairs, d1 = _integer_numerators(v for row in table1 for v in row)
+    by_first, d2 = _integer_numerators([e for v in row for e in v] for row in table2)
+    anti = report.clause(anti_name)
     for i in range(n):
         for j in range(i, n):
-            lhs = algebra.table[i][j]
-            rhs = -algebra.table[j][i]
-            if lhs != rhs:
-                anti.add((i, j), lhs, rhs)
+            if pairs[i * n + j] != [-x for x in pairs[j * n + i]]:
+                anti.add((i, j), table1[i][j], -table1[j][i])
+    if omega is not None:
+        w, dw = _integer_numerators(omega.rows)
+    else:
+        w, dw = _pullback(r, pairs, d1)
+    den = d1 * d2
+    w = [[x * den for x in row] for row in w]
+    # nested[i*n + j][k*n + t]: the e_t entry of [[e_i, e_j]_1, e_k]_2, times dw
+    nested = _int_matmul([[x * dw for x in row] for row in pairs], by_first)
     jacobi = report.clause("twisted-jacobi")
-    # raw-entry loops: the n^3-triple sweep dominates the checker's cost
-    c = [[algebra.table[i][j].entries for j in range(n)] for i in range(n)]
-    omega = [[algebra.omega_basis(i, j) for j in range(n)] for i in range(n)]
-    zero = Fraction(0)
     for i in range(n):
         for j in range(n):
-            cij = c[i][j]
+            ij = nested[i * n + j]
             for k in range(n):
-                lhs = [zero] * n
-                for coeff, other in ((cij, k), (c[j][k], i), (c[k][i], j)):
-                    for p in range(n):
-                        cp = coeff[p]
-                        if cp:
-                            row = c[p][other]
-                            for t in range(n):
-                                if row[t]:
-                                    lhs[t] += cp * row[t]
-                rhs = [zero] * n
-                rhs[k] += omega[i][j]
-                rhs[i] += omega[j][k]
-                rhs[j] += omega[k][i]
+                jk, ki = nested[j * n + k], nested[k * n + i]
+                lhs = [
+                    a + b + c
+                    for a, b, c in zip(
+                        ij[k * n : k * n + n], jk[i * n : i * n + n], ki[j * n : j * n + n]
+                    )
+                ]
+                rhs = [0] * n
+                rhs[k] += w[i][j]
+                rhs[i] += w[j][k]
+                rhs[j] += w[k][i]
                 if lhs != rhs:
-                    jacobi.add((i, j, k), Vector(lhs), Vector(rhs))
-    return report
+                    full = den * dw
+                    jacobi.add(
+                        (i, j, k),
+                        Vector(Fraction(x, full) for x in lhs),
+                        Vector(Fraction(x, full) for x in rhs),
+                    )
 
 
 def infer_r(algebra: OmegaLieAlgebra):
@@ -257,39 +281,10 @@ def infer_r(algebra: OmegaLieAlgebra):
 def check_generalized(algebra: GeneralizedOmegaLieAlgebra) -> Report:
     """First-bracket anticommutativity plus the two-bracket twisted Jacobi
     identity on all basis triples."""
-    n = algebra.dim
     report = Report(f"generalized axioms [{algebra.label or 'unnamed'}]")
-    anti = report.clause("bracket1-anticommutativity")
-    for i in range(n):
-        for j in range(i, n):
-            lhs = algebra.table1[i][j]
-            rhs = -algebra.table1[j][i]
-            if lhs != rhs:
-                anti.add((i, j), lhs, rhs)
-    jacobi = report.clause("twisted-jacobi")
-    c1 = [[algebra.table1[i][j].entries for j in range(n)] for i in range(n)]
-    c2 = [[algebra.table2[i][j].entries for j in range(n)] for i in range(n)]
-    r1 = [[algebra.r.dot(algebra.table1[i][j]) for j in range(n)] for i in range(n)]
-    zero = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            c1ij = c1[i][j]
-            for k in range(n):
-                lhs = [zero] * n
-                for coeff, other in ((c1ij, k), (c1[j][k], i), (c1[k][i], j)):
-                    for p in range(n):
-                        cp = coeff[p]
-                        if cp:
-                            row = c2[p][other]
-                            for t in range(n):
-                                if row[t]:
-                                    lhs[t] += cp * row[t]
-                rhs = [zero] * n
-                rhs[k] += r1[i][j]
-                rhs[i] += r1[j][k]
-                rhs[j] += r1[k][i]
-                if lhs != rhs:
-                    jacobi.add((i, j, k), Vector(lhs), Vector(rhs))
+    _jacobi_clauses(
+        report, "bracket1-anticommutativity", algebra.table1, algebra.table2, algebra.r, None
+    )
     return report
 
 
@@ -325,43 +320,46 @@ def admissible_subspace(algebra: OmegaLieAlgebra) -> Subspace:
 
 
 def check_lsa(algebra: LeftSymmetricAlgebra) -> Report:
-    """Twisted left-symmetry on all basis triples."""
+    """Twisted left-symmetry on all basis triples: the associator
+    (e_i e_j) e_k - e_i (e_j e_k) minus its (j, i, k) value equals
+    omega(e_i, e_j) e_k."""
     n = algebra.dim
     report = Report(f"left-symmetric axioms [{algebra.label or 'unnamed'}]")
     clause = report.clause("twisted-left-symmetry")
-    a = [[algebra.table[i][j].entries for j in range(n)] for i in range(n)]
-    omega = [[algebra.omega_basis(i, j) for j in range(n)] for i in range(n)]
-    zero = Fraction(0)
+    pairs, d = _integer_numerators(v for row in algebra.table for v in row)
+    if algebra.r is not None:
+        pull, dw = _pullback(algebra.r, pairs, d)
+        w = [[pull[i][j] - pull[j][i] for j in range(n)] for i in range(n)]
+    elif algebra.omega is not None:
+        w, dw = _integer_numerators(algebra.omega.rows)
+    else:
+        w, dw = [[0] * n for _ in range(n)], 1
+    den = d * d
+    # assoc[(i*n + j)*n + k]: numerators of the associator at (i, j, k), times dw
+    left = _int_matmul(
+        [[x * dw for x in row] for row in pairs],
+        [[e for v in pairs[p * n : p * n + n] for e in v] for p in range(n)],
+    )
+    assoc = []
+    for i in range(n):
+        right = _int_matmul(pairs, [[x * dw for x in row] for row in pairs[i * n : i * n + n]])
+        for j in range(n):
+            row = left[i * n + j]
+            for k in range(n):
+                assoc.append([x - y for x, y in zip(row[k * n : k * n + n], right[j * n + k])])
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                res = [zero] * n
-                aij, aji = a[i][j], a[j][i]
-                for p in range(n):
-                    # ((e_i e_j) e_k - (e_j e_i) e_k) via left factors
-                    left = aij[p] - aji[p]
-                    if left:
-                        row = a[p][k]
-                        for t in range(n):
-                            if row[t]:
-                                res[t] += left * row[t]
-                ajk, aik = a[j][k], a[i][k]
-                for q in range(n):
-                    # -e_i (e_j e_k) + e_j (e_i e_k) via right factors
-                    if ajk[q]:
-                        row = a[i][q]
-                        for t in range(n):
-                            if row[t]:
-                                res[t] -= ajk[q] * row[t]
-                    if aik[q]:
-                        row = a[j][q]
-                        for t in range(n):
-                            if row[t]:
-                                res[t] += aik[q] * row[t]
-                rhs = [zero] * n
-                rhs[k] = omega[i][j]
-                if res != rhs:
-                    clause.add((i, j, k), Vector(res), Vector(rhs))
+                lhs = [x - y for x, y in zip(assoc[(i * n + j) * n + k], assoc[(j * n + i) * n + k])]
+                rhs = [0] * n
+                rhs[k] = w[i][j] * den
+                if lhs != rhs:
+                    full = den * dw
+                    clause.add(
+                        (i, j, k),
+                        Vector(Fraction(x, full) for x in lhs),
+                        Vector(Fraction(x, full) for x in rhs),
+                    )
     return report
 
 

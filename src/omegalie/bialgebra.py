@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebras import OmegaLieAlgebra, check_omega_lie
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, Vector
+from .linalg import Matrix, Subspace, Vector, _int_matmul, _integer_numerators
 from .reports import Report
 from .representations import GenRepPair, adjoint_pair, check_gen_rep, generalized_dual_pair
 
@@ -268,22 +268,25 @@ def check_invariant_form(algebra: OmegaLieAlgebra, form: BilinearForm) -> Report
     n = algebra.dim
     if form.dim != n:
         raise DimensionMismatch("form and algebra dimensions differ")
-    basis = [Vector.unit(n, i) for i in range(n)]
-    r = algebra.r
+    pairs, dc = _integer_numerators(v for row in algebra.table for v in row)
+    gram, dg = _integer_numerators(form.matrix.rows)
+    (r,), dr = _integer_numerators([algebra.r])
+    # left[i*n + j][k] = B([e_i, e_j], e_k) and right[i][j*n + k] = B(e_i, [e_j, e_k]),
+    # both over dc * dg; the form terms are over dr * dg
+    left = _int_matmul(pairs, gram)
+    right = _int_matmul(gram, [list(col) for col in zip(*pairs)])
+    den = dc * dg * dr
     report = Report("invariant bilinear form")
     clause = report.clause("twisted-invariance")
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = form.value(algebra.table[i][j], basis[k])
-                rhs = (
-                    form.value(basis[i], algebra.table[j][k])
-                    - 2 * r[j] * form.value(basis[i], basis[k])
-                    + r[i] * form.value(basis[j], basis[k])
-                    + r[k] * form.value(basis[i], basis[j])
+                lhs = left[i * n + j][k] * dr
+                rhs = right[i][j * n + k] * dr + dc * (
+                    -2 * r[j] * gram[i][k] + r[i] * gram[j][k] + r[k] * gram[i][j]
                 )
                 if lhs != rhs:
-                    clause.add((i, j, k), lhs, rhs)
+                    clause.add((i, j, k), Fraction(lhs, den), Fraction(rhs, den))
     return report
 
 

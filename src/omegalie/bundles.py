@@ -10,7 +10,7 @@ contradictory duplicate entries are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -21,19 +21,6 @@ from .linalg import Matrix, ThreeTensor, Vector, rat, rat_str
 from .representations import GenRepKind, GenRepPair, Representation
 from .solver import SolveOptions
 from .yang_baxter import TwoTensor
-
-KINDS = (
-    "omega_lie",
-    "generalized",
-    "lsa",
-    "representation",
-    "gen_rep_pair",
-    "two_tensor",
-    "o_operator",
-    "dual_pair",
-    "solve_request",
-)
-
 
 def _fail(msg: str) -> None:
     raise BundleFormatError(msg)
@@ -77,6 +64,13 @@ def _matrix_doc(m: Matrix) -> list:
 
 def _default_basis(n: int, star: bool = False) -> list:
     return [f"e{i + 1}{'*' if star else ''}" for i in range(n)]
+
+
+def _parse_label(doc: dict) -> str:
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        _fail("meta must be an object")
+    return meta.get("label", "")
 
 
 def _parse_basis(doc: dict, n: int) -> list:
@@ -135,7 +129,7 @@ def parse_omega_lie(doc: dict) -> OmegaLieAlgebra:
     omega = doc.get("omega")
     if r is not None and omega is not None:
         _fail("give at most one of r and omega")
-    label = doc.get("meta", {}).get("label", "")
+    label = _parse_label(doc)
     if omega is not None:
         return OmegaLieAlgebra(n, table, omega=_parse_matrix(omega, n, n, "omega"), label=label)
     r_vec = _parse_vector(r, n, "r") if r is not None else Vector.zero(n)
@@ -163,7 +157,7 @@ def parse_generalized(doc: dict) -> GeneralizedOmegaLieAlgebra:
     t1 = _parse_sparse_table(_require(doc, "bracket1"), n, antisymmetric=True, what="bracket1")
     t2 = _parse_sparse_table(_require(doc, "bracket2"), n, antisymmetric=False, what="bracket2")
     r = _parse_vector(_require(doc, "r"), n, "r")
-    return GeneralizedOmegaLieAlgebra(n, t1, t2, r=r, label=doc.get("meta", {}).get("label", ""))
+    return GeneralizedOmegaLieAlgebra(n, t1, t2, r=r, label=_parse_label(doc))
 
 
 def generalized_doc(alg: GeneralizedOmegaLieAlgebra, basis: Optional[list] = None) -> dict:
@@ -186,7 +180,7 @@ def parse_lsa(doc: dict) -> LeftSymmetricAlgebra:
     omega = doc.get("omega")
     if r is not None and omega is not None:
         _fail("give at most one of r and omega")
-    label = doc.get("meta", {}).get("label", "")
+    label = _parse_label(doc)
     return LeftSymmetricAlgebra(
         n,
         table,
@@ -386,6 +380,8 @@ def o_operator_doc(algebra: OmegaLieAlgebra, rep, t: Matrix) -> dict:
 def parse_dual_pair(doc: dict) -> DualPair:
     algebra = parse_omega_lie(_require(doc, "algebra"))
     dual = parse_omega_lie(_require(doc, "dual"))
+    if not (algebra.is_multiplicative and dual.is_multiplicative):
+        _fail("dual_pair algebra and dual must both give r, not omega")
     return dual_pair(algebra, dual)
 
 
@@ -408,24 +404,30 @@ def parse_solve_request(doc: dict) -> SolveRequest:
     algebra = parse_omega_lie(_require(doc, "algebra"))
     n = algebra.dim
     u_r = _parse_vector(doc["u_r"], n, "u_r") if "u_r" in doc else Vector.zero(n)
-    opts = doc.get("options", {})
+    return SolveRequest(algebra, u_r, solve_options(doc.get("options", {}), SolveOptions()))
+
+
+def solve_options(opts, base: SolveOptions) -> SolveOptions:
+    """``base`` with the fields that ``opts`` names replaced, each coerced to
+    the field's type; other keys are ignored.  Serves request options and
+    config-file overrides alike."""
     if not isinstance(opts, dict):
         _fail("options must be an object")
-    defaults = SolveOptions()
-    try:
-        options = SolveOptions(
-            max_iterations=int(opts.get("max_iterations", defaults.max_iterations)),
-            step_tolerance=float(opts.get("step_tolerance", defaults.step_tolerance)),
-            residual_tolerance=float(
-                opts.get("residual_tolerance", defaults.residual_tolerance)
-            ),
-            restarts=int(opts.get("restarts", defaults.restarts)),
-            seed=int(opts.get("seed", defaults.seed)),
-            max_denominator=int(opts.get("max_denominator", defaults.max_denominator)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise BundleFormatError(f"bad solver options: {exc}") from None
-    return SolveRequest(algebra, u_r, options)
+    changes = {}
+    for field in fields(SolveOptions):
+        key = field.name
+        if key not in opts:
+            continue
+        value = opts[key]
+        if key in ("restarts", "max_denominator") and (
+            not isinstance(value, int) or isinstance(value, bool) or value < 1
+        ):
+            _fail(f"{key} must be an integer >= 1, not {value!r}")
+        try:
+            changes[key] = type(getattr(base, key))(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BundleFormatError(f"bad solver options: {exc}") from None
+    return replace(base, **changes)
 
 
 def solve_request_doc(req: SolveRequest) -> dict:

@@ -333,10 +333,7 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
 
 def cmd_solve(args, config: ToolkitConfig, deterministic: bool) -> int:
     req = bundles.parse_solve_request(bundles.load_path(args.infile))
-    options = req.options
-    for key, value in (config.solver or {}).items():
-        if hasattr(options, key):
-            options = replace(options, **{key: type(getattr(options, key))(value)})
+    options = bundles.solve_options(config.solver or {}, req.options)
     if deterministic:
         options = replace(options, seed=1)
     problem = build_problem(req.algebra, req.u_r, options)

@@ -9,6 +9,7 @@ Gaussian elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatch
@@ -26,6 +27,34 @@ def rat(value: Scalar) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _integer_numerators(rows: Iterable[Iterable[Fraction]]) -> tuple[list, int]:
+    """Rows of rationals as rows of integer numerators over the least
+    common denominator of all their entries.
+
+    Returns ``(nums, den)`` with ``rows[i][j] == nums[i][j] / den``.  The
+    exact sweeps compare two sides of an identity by scaling each side's
+    numerators with the other side's denominator, and build Fractions again
+    only for what they report or return.
+    """
+    rows = [list(row) for row in rows]
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _int_matmul(a: list, b: list) -> list:
+    """Product of two integer matrices given as row lists, skipping the
+    zero entries of the left factor."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for s, coeff in enumerate(row):
+            if coeff:
+                acc = [x + coeff * y for x, y in zip(acc, b[s])]
+        out.append(acc)
+    return out
 
 
 def rat_str(value: Fraction) -> str:

@@ -15,7 +15,15 @@ from fractions import Fraction
 from .algebras import OmegaLieAlgebra, admissible_subspace, central_elements
 from .bialgebra import CobracketDelta
 from .errors import DimensionMismatch, EmptyDecomposition
-from .linalg import Matrix, Subspace, ThreeTensor, Vector, rank_one
+from .linalg import (
+    Matrix,
+    Subspace,
+    ThreeTensor,
+    Vector,
+    _int_matmul,
+    _integer_numerators,
+    rank_one,
+)
 from .reports import Report
 
 # Scope of the cyclic sum in the co-Jacobiator: "all" rotates the whole
@@ -116,46 +124,64 @@ def yb_residual(ctx: YbeContext, tensor: TwoTensor) -> ThreeTensor:
     distinguished element weighted by 3.  Admissibility is reported
     separately and deliberately not required here.
     """
+    nums, den = _residual_numerators(ctx, tensor)
+    return _three_tensor(nums, den, ctx.algebra.dim)
+
+
+def _three_tensor(nums: list, den: int, n: int) -> ThreeTensor:
+    """Order-3 tensor from numerators flat in C order over one denominator."""
+    return ThreeTensor(
+        [
+            [[Fraction(nums[(i * n + j) * n + k], den) for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def _residual_numerators(ctx: YbeContext, tensor: TwoTensor) -> tuple[list, int]:
+    """The residual as numerators flat in C order over one denominator.
+
+    With C_p the matrix of the p-th structure constants and R the tensor's
+    coordinate matrix, the three bracket blocks at output index p are
+    R^T C_p R (slot 1), R C_p R (slot 2) and R C_p R^T (slot 3).
+    """
     alg = ctx.algebra
     n = alg.dim
     if tensor.dim != n:
         raise DimensionMismatch("tensor and algebra dimensions differ")
-    r_mat = tensor.entries
-    u = ctx.u_r
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            bracket = alg.table[a][b]
-            if bracket.is_zero():
-                continue
-            for p in range(n):
-                cab = bracket[p]
-                if cab == 0:
-                    continue
-                for i in range(n):
-                    rai = r_mat[a, i]
-                    ria = r_mat[i, a]
-                    for j in range(n):
-                        if rai != 0 and r_mat[b, j] != 0:
-                            out[p][i][j] += cab * rai * r_mat[b, j]
-                        if ria != 0 and r_mat[b, j] != 0:
-                            out[i][p][j] += cab * ria * r_mat[b, j]
-                        if ria != 0 and r_mat[j, b] != 0:
-                            out[i][j][p] += cab * ria * r_mat[j, b]
-    if not u.is_zero():
+    pairs, dc = _integer_numerators(v for row in alg.table for v in row)
+    r_rows, dr = _integer_numerators(tensor.entries.rows)
+    (u,), du = _integer_numerators([ctx.u_r])
+    r_cols = [list(col) for col in zip(*r_rows)]
+    nn = n * n
+    out = [0] * (n * nn)
+    for p in range(n):
+        c_p = [[pairs[a * n + b][p] * du for b in range(n)] for a in range(n)]
+        if not any(map(any, c_p)):
+            continue
+        c_r = _int_matmul(c_p, r_rows)
+        slot1 = _int_matmul(r_cols, c_r)
+        slot2 = _int_matmul(r_rows, c_r)
+        slot3 = _int_matmul(r_rows, _int_matmul(c_p, r_cols))
+        for i in range(n):
+            for j in range(n):
+                out[p * nn + i * n + j] += slot1[i][j]
+                out[i * nn + p * n + j] += slot2[i][j]
+                out[i * nn + j * n + p] += slot3[i][j]
+    if any(u):
+        scale = 3 * dc * dr
         for p in range(n):
             for q in range(n):
-                rpq = r_mat[p, q]
-                if rpq == 0:
+                rpq = r_rows[p][q]
+                if not rpq:
                     continue
                 for k in range(n):
-                    uk = u[k]
-                    if uk == 0:
-                        continue
-                    out[q][p][k] += 3 * rpq * uk
-                    out[p][k][q] += 3 * rpq * uk
-                    out[k][q][p] += 3 * rpq * uk
-    return ThreeTensor(out)
+                    if u[k]:
+                        v = scale * rpq * u[k]
+                        out[q * nn + p * n + k] += v
+                        out[p * nn + k * n + q] += v
+                        out[k * nn + q * n + p] += v
+    return out, dc * dr * dr * du
 
 
 def delta_from_r(ctx: YbeContext, tensor: TwoTensor) -> CobracketDelta:
@@ -229,17 +255,38 @@ def ad_x_t3(algebra: OmegaLieAlgebra, x_index: int, tensor: ThreeTensor) -> Thre
     n = algebra.dim
     if tensor.dim != n:
         raise DimensionMismatch("tensor and algebra dimensions differ")
-    a = algebra.ad1(x_index)
-    t = tensor.entries
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = Fraction(0)
-                for p in range(n):
-                    acc += a[i, p] * t[p][j][k] + a[j, p] * t[i][p][k] + a[k, p] * t[i][j][p]
-                out[i][j][k] = acc
-    return ThreeTensor(out)
+    if not 0 <= x_index < n:
+        raise DimensionMismatch("basis index out of range")
+    pairs, dc = _integer_numerators(v for row in algebra.table for v in row)
+    t_rows, dt = _integer_numerators(row for plane in tensor.entries for row in plane)
+    t = [e for row in t_rows for e in row]
+    return _three_tensor(_adjoint_action(_adjoint_columns(pairs, x_index), t, n), dc * dt, n)
+
+
+def _adjoint_columns(pairs: list, x: int) -> list:
+    """Nonzero entries (i, value) of each column p of ad e_x, which is the
+    bracket row of (e_x, e_p)."""
+    n = len(pairs[0])
+    return [[(i, a) for i, a in enumerate(pairs[x * n + p]) if a] for p in range(n)]
+
+
+def _adjoint_action(cols: list, t: list, n: int) -> list:
+    """Numerators of the slot-wise action of an adjoint operator, given by
+    its nonzero columns, on an order-3 tensor flat in C order."""
+    nn = n * n
+    out = [0] * (n * nn)
+    for idx, v in enumerate(t):
+        if not v:
+            continue
+        p, rest = divmod(idx, nn)
+        q, s = divmod(rest, n)
+        for i, a in cols[p]:
+            out[i * nn + rest] += a * v
+        for j, a in cols[q]:
+            out[idx + (j - q) * n] += a * v
+        for k, a in cols[s]:
+            out[idx + k - s] += a * v
+    return out
 
 
 def check_derivation_identity(
@@ -315,18 +362,26 @@ def solution_conditions(ctx: YbeContext, tensor: TwoTensor) -> Report:
     alg = ctx.algebra
     n = alg.dim
     report = Report("solution conditions")
-    sym = tensor.entries + tensor.entries.transpose()
-    residual = yb_residual(ctx, tensor)
+    residual, d_res = _residual_numerators(ctx, tensor)
+    pairs, dc = _integer_numerators(v for row in alg.table for v in row)
+    r_rows, dr = _integer_numerators(tensor.entries.rows)
+    sym = [[r_rows[i][j] + r_rows[j][i] for j in range(n)] for i in range(n)]
     cond_i = report.clause("symmetrized-tensor-invariant")
     cond_ii = report.clause("adjoint-action-annihilates-residual")
     for x in range(n):
-        a_x = alg.ad1(x)
-        moved = a_x @ sym + sym @ a_x.transpose()
-        if not moved.is_zero():
-            cond_i.add((x,), moved, Matrix.zero(n, n))
-        acted = ad_x_t3(alg, x, residual)
-        if not acted.is_zero():
-            cond_ii.add((x,), acted, ThreeTensor.zero(n))
+        ad_x = [list(row) for row in zip(*pairs[x * n : x * n + n])]
+        # ad_x sym + sym ad_x^T is m + m^T with m = ad_x sym, as sym is symmetric
+        m = _int_matmul(ad_x, sym)
+        moved = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        if any(map(any, moved)):
+            cond_i.add(
+                (x,),
+                Matrix([[Fraction(v, dc * dr) for v in row] for row in moved]),
+                Matrix.zero(n, n),
+            )
+        acted = _adjoint_action(_adjoint_columns(pairs, x), residual, n)
+        if any(acted):
+            cond_ii.add((x,), _three_tensor(acted, dc * d_res, n), ThreeTensor.zero(n))
     return report
 
 

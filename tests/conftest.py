@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,32 @@ def raw_table(algebra) -> list:
 def raw_omega(algebra) -> list:
     n = algebra.dim
     return [[algebra.omega_basis(i, j) for j in range(n)] for i in range(n)]
+
+
+def rational_entry(rng, den) -> Fraction:
+    """p or p/den with |p| <= 6; tests give each table its own den."""
+    return Fraction(rng.randint(-6, 6), rng.choice((1, den)))
+
+
+def rational_matrix(rng, n, den) -> list:
+    return [[rational_entry(rng, den) for _ in range(n)] for _ in range(n)]
+
+
+def rational_raw_tensor(rng, n, den) -> list:
+    return [rational_matrix(rng, n, den) for _ in range(n)]
+
+
+def antisymmetrize(raw) -> list:
+    """Overwrite the lower triangle and diagonal of a raw table so that
+    c[j][i] = -c[i][j]."""
+    n = len(raw)
+    for i in range(n):
+        raw[i][i] = [Fraction(0)] * n
+        for j in range(i):
+            raw[i][j] = [-x for x in raw[j][i]]
+    return raw
+
+
+def vectors_from_raw(raw) -> list:
+    n = len(raw)
+    return [[Vector(raw[i][j]) for j in range(n)] for i in range(n)]

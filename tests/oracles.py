@@ -184,3 +184,123 @@ def jacobiator_table(c):
                 rgt = bracket_vec(c, c[k][i], unit(j))
                 out[(i, j, k)] = [lhs[t] + mid[t] + rgt[t] for t in range(n)]
     return out
+
+
+def twisted_jacobi_sides(c1, c2, twist):
+    """Both sides of [[e_i, e_j]_1, e_k]_2 + cyclic = twist[i][j] e_k + cyclic
+    at every basis triple where they differ, keyed by (i, j, k)."""
+    n = len(c1)
+    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = bracket_vec(c2, c1[i][j], unit(k))
+                mid = bracket_vec(c2, c1[j][k], unit(i))
+                rgt = bracket_vec(c2, c1[k][i], unit(j))
+                lhs = [lhs[t] + mid[t] + rgt[t] for t in range(n)]
+                rhs = [Fraction(0)] * n
+                rhs[k] += twist[i][j]
+                rhs[i] += twist[j][k]
+                rhs[j] += twist[k][i]
+                if lhs != rhs:
+                    out[(i, j, k)] = (lhs, rhs)
+    return out
+
+
+def lsa_sides(a, omega):
+    """Both sides of twisted left-symmetry, (e_i e_j) e_k - e_i (e_j e_k)
+    - (e_j e_i) e_k + e_j (e_i e_k) = omega[i][j] e_k, where they differ."""
+    n = len(a)
+    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t1 = bracket_vec(a, a[i][j], unit(k))
+                t2 = bracket_vec(a, unit(i), a[j][k])
+                t3 = bracket_vec(a, a[j][i], unit(k))
+                t4 = bracket_vec(a, unit(j), a[i][k])
+                lhs = [t1[t] - t2[t] - t3[t] + t4[t] for t in range(n)]
+                rhs = [omega[i][j] if t == k else Fraction(0) for t in range(n)]
+                if lhs != rhs:
+                    out[(i, j, k)] = (lhs, rhs)
+    return out
+
+
+def residual_unit_terms(rmat, u):
+    """Distinguished-element part of the twisted residual: for each piece
+    r^{pq} x (x) y of the tensor (x = e_p, y = e_q), three times
+    y (x) x (x) u + x (x) u (x) y + u (x) y (x) x, as raw triple products."""
+    n = len(u)
+    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            x, y = unit(p), unit(q)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        out[i][j][k] += 3 * rmat[p][q] * (
+                            y[i] * x[j] * u[k] + x[i] * u[j] * y[k] + u[i] * y[j] * x[k]
+                        )
+    return out
+
+
+def solution_condition_failures(c, rmat, residual):
+    """Basis indices x where ad_x s + s ad_x^T is nonzero (s the symmetrized
+    tensor), and where the slot-wise action of ad_x on the residual is
+    nonzero; ad_x has entries ad_x[i][p] = c[x][p][i]."""
+    n = len(c)
+    sym = [[rmat[i][j] + rmat[j][i] for j in range(n)] for i in range(n)]
+    moved, acted = set(), set()
+    for x in range(n):
+        ad = [[c[x][p][i] for p in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                val = sum(
+                    (ad[i][p] * sym[p][j] + sym[i][p] * ad[j][p] for p in range(n)),
+                    Fraction(0),
+                )
+                if val:
+                    moved.add(x)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    val = Fraction(0)
+                    for p in range(n):
+                        val += ad[i][p] * residual[p][j][k]
+                        val += ad[j][p] * residual[i][p][k]
+                        val += ad[k][p] * residual[i][j][p]
+                    if val:
+                        acted.add(x)
+    return moved, acted
+
+
+def invariant_form_sides(c, gram, r):
+    """Both sides of B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) - 2 r_j B(e_i, e_k)
+    + r_i B(e_j, e_k) + r_k B(e_i, e_j), B(x, y) = x^T gram y, where they
+    differ."""
+    n = len(c)
+    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
+
+    def form(x, y):
+        return sum(
+            (x[a] * gram[a][b] * y[b] for a in range(n) for b in range(n)), Fraction(0)
+        )
+
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                ei, ej, ek = unit(i), unit(j), unit(k)
+                lhs = form(c[i][j], ek)
+                rhs = (
+                    form(ei, c[j][k])
+                    - 2 * r[j] * form(ei, ek)
+                    + r[i] * form(ej, ek)
+                    + r[k] * form(ei, ej)
+                )
+                if lhs != rhs:
+                    out[(i, j, k)] = (lhs, rhs)
+    return out

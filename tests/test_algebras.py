@@ -22,14 +22,25 @@ from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, Subspace, Vector
 
 from conftest import (
+    antisymmetrize,
     make_b2,
     make_e1_lsa,
     make_kt2_lsa,
     make_nc2_lsa,
+    rational_entry,
+    rational_matrix,
+    rational_raw_tensor,
     raw_omega,
     raw_table,
+    vectors_from_raw,
 )
-from oracles import generalized_violations, lsa_violations, omega_lie_violations
+from oracles import (
+    generalized_violations,
+    lsa_sides,
+    lsa_violations,
+    omega_lie_violations,
+    twisted_jacobi_sides,
+)
 
 
 def test_bracket_eval_reads_structure_constants(b2):
@@ -75,6 +86,21 @@ def _random_raw_tensor(rng, n, lo=-2, hi=2):
     ]
 
 
+def _assert_sides(clause, sides):
+    """The clause lists exactly the oracle's triples, in C order, and each
+    violation carries the oracle's values of both sides."""
+    assert [v.indices for v in clause.violations] == sorted(sides)
+    for v in clause.violations:
+        lhs, rhs = sides[v.indices]
+        assert v.lhs == repr(Vector(lhs))
+        assert v.rhs == repr(Vector(rhs))
+
+
+def _pulled_back(r, c):
+    n = len(c)
+    return [[sum((a * b for a, b in zip(r, c[i][j])), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
 def test_checker_matches_oracle_on_random_tensors():
     rng = random.Random(20240601)
     for _ in range(120):
@@ -92,6 +118,22 @@ def test_checker_matches_oracle_on_random_tensors():
         got_jac = {v.indices for v in report.clauses[1].violations}
         assert got_anti == anti
         assert got_jac == jac
+    for trial in range(40):
+        n = rng.randint(1, 4)
+        d_table, d_r, d_omega = rng.sample(range(2, 13), 3)
+        raw = rational_raw_tensor(rng, n, d_table)
+        if trial % 2:
+            raw = antisymmetrize(raw)
+        r = [rational_entry(rng, d_r) for _ in range(n)]
+        omega = rational_matrix(rng, n, d_omega)
+        for alg, twist in (
+            (type(make_b2())(n, vectors_from_raw(raw), r=Vector(r)), _pulled_back(r, raw)),
+            (type(make_b2())(n, vectors_from_raw(raw), omega=Matrix(omega)), omega),
+        ):
+            report = check_omega_lie(alg)
+            anti, _ = omega_lie_violations(raw, twist)
+            assert {v.indices for v in report.clauses[0].violations} == anti
+            _assert_sides(report.clauses[1], twisted_jacobi_sides(raw, raw, twist))
 
 
 def test_every_dim2_anticommutative_bracket_passes():
@@ -167,6 +209,19 @@ def test_generalized_checker_matches_oracle():
         anti, jac = generalized_violations(raw1, raw2, r)
         assert {v.indices for v in report.clauses[0].violations} == anti
         assert {v.indices for v in report.clauses[1].violations} == jac
+    for trial in range(40):
+        n = rng.randint(1, 3)
+        d1, d2, d_r = rng.sample(range(2, 13), 3)
+        raw1 = rational_raw_tensor(rng, n, d1)
+        if trial % 2:
+            raw1 = antisymmetrize(raw1)
+        r = [rational_entry(rng, d_r) for _ in range(n)]
+        for raw2 in (rational_raw_tensor(rng, n, d2), raw1):
+            g = GeneralizedOmegaLieAlgebra(n, vectors_from_raw(raw1), vectors_from_raw(raw2), r=Vector(r))
+            report = check_generalized(g)
+            anti, _ = generalized_violations(raw1, raw2, r)
+            assert {v.indices for v in report.clauses[0].violations} == anti
+            _assert_sides(report.clauses[1], twisted_jacobi_sides(raw1, raw2, _pulled_back(r, raw1)))
 
 
 def test_center_abelian_is_full():
@@ -226,6 +281,20 @@ def test_lsa_checker_matches_oracle():
         assert {v.indices for c in report.clauses for v in c.violations} == lsa_violations(
             raw, omega
         )
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        d_table, d_r, d_omega = rng.sample(range(2, 13), 3)
+        raw = rational_raw_tensor(rng, n, d_table)
+        r = [rational_entry(rng, d_r) for _ in range(n)]
+        omega = rational_matrix(rng, n, d_omega)
+        pulled = _pulled_back(r, raw)
+        r_twist = [[pulled[i][j] - pulled[j][i] for j in range(n)] for i in range(n)]
+        for lsa, twist in (
+            (left_symmetric(n, {}, omega=Matrix(omega)), omega),
+            (left_symmetric(n, {}, r=Vector(r)), r_twist),
+        ):
+            lsa = type(lsa)(n, vectors_from_raw(raw), r=lsa.r, omega=lsa.omega)
+            _assert_sides(check_lsa(lsa).clauses[0], lsa_sides(raw, twist))
 
 
 def test_subadjacent_e1_is_abelian():

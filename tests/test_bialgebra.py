@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from omegalie.algebras import abelian, check_omega_lie, omega_lie
+from omegalie.algebras import OmegaLieAlgebra, abelian, check_omega_lie, omega_lie
 from omegalie.bialgebra import (
     BilinearForm,
     check_invariant_form,
@@ -20,7 +20,15 @@ from omegalie.bialgebra import (
 from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, Subspace, Vector
 
-from conftest import make_b2
+from conftest import (
+    antisymmetrize,
+    make_b2,
+    rational_entry,
+    rational_matrix,
+    rational_raw_tensor,
+    vectors_from_raw,
+)
+from oracles import invariant_form_sides
 
 
 def classical_pair():
@@ -97,6 +105,28 @@ def test_standard_form_pairing_values():
 
 def test_invariant_form_zero_is_invariant(b2):
     assert check_invariant_form(b2, BilinearForm(Matrix.zero(2, 2))).passed
+
+
+def test_invariant_form_matches_oracle():
+    """Rational tables, forms and r, each with its own denominators: the
+    violations are the oracle's triples in C order, with its values."""
+    rng = random.Random(808)
+    for trial in range(40):
+        n = rng.randint(1, 3)
+        d_table, d_r, d_form = rng.sample(range(2, 13), 3)
+        raw = rational_raw_tensor(rng, n, d_table)
+        if trial % 2:
+            raw = antisymmetrize(raw)
+        r = [rational_entry(rng, d_r) for _ in range(n)]
+        gram = rational_matrix(rng, n, d_form)
+        if trial % 3 == 0:
+            gram = [[gram[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        alg = OmegaLieAlgebra(n, vectors_from_raw(raw), r=Vector(r))
+        clause = check_invariant_form(alg, BilinearForm(Matrix(gram))).clauses[0]
+        sides = invariant_form_sides(raw, gram, r)
+        assert [v.indices for v in clause.violations] == sorted(sides)
+        for v in clause.violations:
+            assert (v.lhs, v.rhs) == tuple(repr(x) for x in sides[v.indices])
 
 
 def test_invariant_form_identity_fails_on_b2(b2):

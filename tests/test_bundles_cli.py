@@ -198,6 +198,65 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert "error" in captured.err
 
 
+def _fixture_doc(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+def _with(doc, **changes):
+    return {**doc, **changes}
+
+
+def _omega_flavor(doc):
+    out = {k: v for k, v in doc.items() if k != "r"}
+    out["omega"] = [["0"] * doc["dim"] for _ in range(doc["dim"])]
+    return out
+
+
+_GENERALIZED = {
+    "kind": "generalized",
+    "dim": 1,
+    "bracket1": [],
+    "bracket2": [],
+    "r": ["0"],
+}
+_LSA = {"kind": "lsa", "dim": 1, "product": [[1, 1, 1, "1"]]}
+_SOLVE = _fixture_doc("solve_b2")
+_DUAL = _fixture_doc("dual_pair_classical")
+
+# (command, bundle document, config document or None)
+HOSTILE_INPUTS = {
+    "meta-not-object-omega-lie": ("check", _with(_fixture_doc("b2"), meta="x"), None),
+    "meta-not-object-generalized": ("check", _with(_GENERALIZED, meta="x"), None),
+    "meta-not-object-lsa": ("check", _with(_LSA, meta="x"), None),
+    "restarts-zero": ("solve", _with(_SOLVE, options={"restarts": 0}), None),
+    "restarts-bool": ("solve", _with(_SOLVE, options={"restarts": True}), None),
+    "max-denominator-zero": ("solve", _with(_SOLVE, options={"max_denominator": 0}), None),
+    "config-restarts-not-int": ("solve", _SOLVE, {"solver": {"restarts": "abc"}}),
+    "dual-pair-omega-flavor": (
+        "check",
+        _with(_DUAL, algebra=_omega_flavor(_DUAL["algebra"])),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_cli_hostile_input_exit_2(case, tmp_path, capsys):
+    command, doc, config = HOSTILE_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", str(path)] if command == "check" else ["solve", "--in", str(path)]
+    if config is not None:
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        argv = ["--config", str(cpath)] + argv
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+
+
 def test_cli_yb_residual_zero_tensor(capsys):
     code = run(
         [
@@ -352,3 +411,15 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "PASS"
+
+
+def test_checker_modules_do_not_import_numpy():
+    # numpy belongs to the solver only; its import would dominate start-up
+    code = (
+        "import sys\n"
+        "import omegalie.algebras, omegalie.bialgebra, omegalie.yang_baxter, omegalie.operators\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

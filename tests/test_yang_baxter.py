@@ -4,7 +4,14 @@ from itertools import product
 
 import pytest
 
-from omegalie.algebras import abelian, check_omega_lie, omega_lie
+from omegalie.algebras import (
+    OmegaLieAlgebra,
+    abelian,
+    admissible_subspace,
+    center,
+    check_omega_lie,
+    omega_lie,
+)
 from omegalie.bialgebra import CobracketDelta
 from omegalie.errors import EmptyDecomposition
 from omegalie.linalg import Matrix, ThreeTensor, Vector, rank_one
@@ -23,8 +30,19 @@ from omegalie.yang_baxter import (
     yb_residual,
 )
 
-from conftest import corpus_algebras, make_ax2, make_b2, make_b2_plus_line, raw_table
-from oracles import classical_cybe
+from conftest import (
+    antisymmetrize,
+    corpus_algebras,
+    make_ax2,
+    make_b2,
+    make_b2_plus_line,
+    rational_entry,
+    rational_matrix,
+    rational_raw_tensor,
+    raw_table,
+    vectors_from_raw,
+)
+from oracles import classical_cybe, residual_unit_terms, solution_condition_failures
 
 E1, E2 = Vector.unit(2, 0), Vector.unit(2, 1)
 WEDGE = TwoTensor.wedge(E1, E2)
@@ -90,6 +108,69 @@ def test_residual_matches_classical_oracle():
             ours = yb_residual(ctx0(algebra), tensor)
             oracle = classical_cybe(raw_table(algebra), rmat)
             assert ours == ThreeTensor(oracle)
+    # rational tables, tensors and distinguished elements, each with its own
+    # denominators; the distinguished element is never zero here
+    for trial in range(30):
+        n = rng.randint(1, 3)
+        d_table, d_r, d_tensor, d_u = rng.sample(range(2, 13), 4)
+        raw = rational_raw_tensor(rng, n, d_table)
+        if trial % 2:
+            raw = antisymmetrize(raw)
+        algebra = OmegaLieAlgebra(
+            n, vectors_from_raw(raw), r=Vector([rational_entry(rng, d_r) for _ in range(n)])
+        )
+        rmat = rational_matrix(rng, n, d_tensor)
+        u = [rational_entry(rng, d_u) for _ in range(n)]
+        u[0] = Fraction(rng.choice((-5, -1, 1, 7)), d_u)
+        ours = yb_residual(YbeContext(algebra, Vector(u)), TwoTensor(n, Matrix(rmat)))
+        assert ours == ThreeTensor(_oracle_residual(raw, rmat, u))
+
+
+def _oracle_residual(raw, rmat, u):
+    n = len(raw)
+    bracket_part = classical_cybe(raw, rmat)
+    unit_part = residual_unit_terms(rmat, u)
+    return [
+        [[bracket_part[i][j][k] + unit_part[i][j][k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_solution_conditions_match_oracle():
+    """Failing indices of both conditions on the corpus rescaled by p/q,
+    with admissible and arbitrary rational tensors."""
+    rng = random.Random(41)
+    for algebra in corpus_algebras():
+        n = algebra.dim
+        if n > 3:
+            continue
+        d_scale, d_tensor, d_u = rng.sample(range(2, 13), 3)
+        s = Fraction(rng.randint(1, 6), d_scale)
+        # scaling the bracket and r together keeps the twisted axioms
+        scaled = OmegaLieAlgebra(
+            n, [[v.scale(s) for v in row] for row in algebra.table], r=algebra.r.scale(s)
+        )
+        raw = raw_table(scaled)
+        w = admissible_subspace(scaled)
+        z = center(scaled)
+        for trial in range(6):
+            if trial % 2 and w.dim:
+                entries = Matrix.zero(n, n)
+                for a in range(w.dim):
+                    for b in range(w.dim):
+                        entries = entries + rational_entry(rng, d_tensor) * w.basis[a].outer(
+                            w.basis[b]
+                        )
+                rmat = [list(row) for row in entries.rows]
+            else:
+                rmat = rational_matrix(rng, n, d_tensor)
+            u = [Fraction(0)] * n
+            if z.dim and trial >= 3:
+                u = list(z.basis[0].scale(rational_entry(rng, d_u)))
+            report = solution_conditions(YbeContext(scaled, Vector(u)), TwoTensor(n, Matrix(rmat)))
+            moved, acted = solution_condition_failures(raw, rmat, _oracle_residual(raw, rmat, u))
+            assert {v.indices[0] for v in report.clauses[0].violations} == moved
+            assert {v.indices[0] for v in report.clauses[1].violations} == acted
 
 
 def test_delta_from_wedge(b2):
