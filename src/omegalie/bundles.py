@@ -12,15 +12,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .algebras import GeneralizedOmegaLieAlgebra, LeftSymmetricAlgebra, OmegaLieAlgebra
 from .bialgebra import CobracketDelta, DualPair, dual_pair
 from .errors import BundleFormatError
 from .linalg import Matrix, ThreeTensor, Vector, rat, rat_str
 from .representations import GenRepKind, GenRepPair, Representation
-from .solver import SolveOptions
 from .yang_baxter import TwoTensor
+
+if TYPE_CHECKING:
+    from .solver import SolveOptions
+
 
 def _fail(msg: str) -> None:
     raise BundleFormatError(msg)
@@ -30,6 +33,18 @@ def _require(doc: dict, key: str):
     if key not in doc:
         _fail(f"missing required field {key!r}")
     return doc[key]
+
+
+def _is_int(value) -> bool:
+    """An integer in the document; JSON ``true``/``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_dim(doc: dict, key: str = "dim") -> int:
+    n = _require(doc, key)
+    if not _is_int(n) or n < 1:
+        _fail(f"{key} must be a positive integer, not {n!r}")
+    return n
 
 
 def _parse_rat(value) -> Fraction:
@@ -91,7 +106,7 @@ def _parse_sparse_table(entries, n: int, antisymmetric: bool, what: str) -> list
         if not isinstance(entry, list) or len(entry) != 4:
             _fail(f"{what} entries must be [i, j, k, value]")
         i, j, k, value = entry
-        if not all(isinstance(t, int) for t in (i, j, k)):
+        if not all(_is_int(t) for t in (i, j, k)):
             _fail(f"{what} indices must be integers")
         if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
             _fail(f"{what} entry [{i}, {j}, {k}] out of range for dim {n}")
@@ -120,9 +135,7 @@ def _sparse_table_doc(table, n: int, antisymmetric: bool) -> list:
 
 
 def parse_omega_lie(doc: dict) -> OmegaLieAlgebra:
-    n = _require(doc, "dim")
-    if not isinstance(n, int) or n < 1:
-        _fail("dim must be a positive integer")
+    n = _parse_dim(doc)
     _parse_basis(doc, n)
     table = _parse_sparse_table(doc.get("bracket", []), n, antisymmetric=True, what="bracket")
     r = doc.get("r")
@@ -152,7 +165,7 @@ def omega_lie_doc(alg: OmegaLieAlgebra, basis: Optional[list] = None) -> dict:
 
 
 def parse_generalized(doc: dict) -> GeneralizedOmegaLieAlgebra:
-    n = _require(doc, "dim")
+    n = _parse_dim(doc)
     _parse_basis(doc, n)
     t1 = _parse_sparse_table(_require(doc, "bracket1"), n, antisymmetric=True, what="bracket1")
     t2 = _parse_sparse_table(_require(doc, "bracket2"), n, antisymmetric=False, what="bracket2")
@@ -173,7 +186,7 @@ def generalized_doc(alg: GeneralizedOmegaLieAlgebra, basis: Optional[list] = Non
 
 
 def parse_lsa(doc: dict) -> LeftSymmetricAlgebra:
-    n = _require(doc, "dim")
+    n = _parse_dim(doc)
     _parse_basis(doc, n)
     table = _parse_sparse_table(doc.get("product", []), n, antisymmetric=False, what="product")
     r = doc.get("r")
@@ -227,7 +240,7 @@ def parse_representation(doc: dict, algebra: Optional[OmegaLieAlgebra] = None) -
         algebra = parse_omega_lie(_require(doc, "algebra"))
     if algebra is None:
         _fail("representation bundle needs an algebra block")
-    m = _require(doc, "carrier_dim")
+    m = _parse_dim(doc, "carrier_dim")
     basis = _parse_basis(doc.get("algebra", {}), algebra.dim)
     rho = _parse_operator_family(_require(doc, "rho"), basis, m, "rho")
     return Representation(algebra, m, rho)
@@ -248,7 +261,7 @@ def parse_gen_rep_pair(doc: dict, algebra: Optional[OmegaLieAlgebra] = None) -> 
         algebra = parse_omega_lie(_require(doc, "algebra"))
     if algebra is None:
         _fail("pair bundle needs an algebra block")
-    m = _require(doc, "carrier_dim")
+    m = _parse_dim(doc, "carrier_dim")
     kind_name = _require(doc, "rep_kind")
     try:
         kind = GenRepKind(kind_name)
@@ -280,7 +293,7 @@ class TwoTensorBundle:
 
 
 def parse_two_tensor(doc: dict) -> TwoTensorBundle:
-    n = _require(doc, "dim")
+    n = _parse_dim(doc)
     entries = _parse_matrix(_require(doc, "entries"), n, n, "entries")
     algebra = parse_omega_lie(doc["algebra"]) if "algebra" in doc else None
     u_r = None
@@ -313,7 +326,7 @@ def three_tensor_doc(tensor: ThreeTensor) -> dict:
 
 
 def parse_three_tensor(doc: dict) -> ThreeTensor:
-    n = _require(doc, "dim")
+    n = _parse_dim(doc)
     entries = _require(doc, "entries")
     if not isinstance(entries, list) or len(entries) != n:
         _fail("entries must be a dim^3 array")
@@ -332,7 +345,7 @@ def cobracket_doc(delta: CobracketDelta, basis: Optional[list] = None) -> dict:
 
 
 def parse_cobracket(doc: dict) -> CobracketDelta:
-    n = _require(doc, "dim")
+    n = _parse_dim(doc)
     comps = _require(doc, "components")
     if not isinstance(comps, list) or len(comps) != n:
         _fail("components must hold one matrix per basis element")
@@ -401,6 +414,8 @@ class SolveRequest:
 
 
 def parse_solve_request(doc: dict) -> SolveRequest:
+    from .solver import SolveOptions  # numpy: only commands that search load it
+
     algebra = parse_omega_lie(_require(doc, "algebra"))
     n = algebra.dim
     u_r = _parse_vector(doc["u_r"], n, "u_r") if "u_r" in doc else Vector.zero(n)
@@ -414,14 +429,12 @@ def solve_options(opts, base: SolveOptions) -> SolveOptions:
     if not isinstance(opts, dict):
         _fail("options must be an object")
     changes = {}
-    for field in fields(SolveOptions):
+    for field in fields(base):
         key = field.name
         if key not in opts:
             continue
         value = opts[key]
-        if key in ("restarts", "max_denominator") and (
-            not isinstance(value, int) or isinstance(value, bool) or value < 1
-        ):
+        if key in ("restarts", "max_denominator") and (not _is_int(value) or value < 1):
             _fail(f"{key} must be an integer >= 1, not {value!r}")
         try:
             changes[key] = type(getattr(base, key))(value)

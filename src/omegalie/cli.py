@@ -51,7 +51,6 @@ from .representations import (
     generalized_dual_pair,
     semidirect_rep,
 )
-from .solver import build_problem, minimize, rationalize_verify
 from .yang_baxter import (
     YbeContext,
     check_derivation_identity,
@@ -92,6 +91,8 @@ class ToolkitConfig:
 
 def load_config(path: str) -> ToolkitConfig:
     doc = bundles.load_path(path)
+    if not isinstance(doc, dict):
+        raise BundleFormatError("config must be a JSON object")
     jac = doc.get("jac_delta_scope", "all")
     rule = doc.get("central_rule", "center")
     if jac not in ("all", "first"):
@@ -203,6 +204,8 @@ def cmd_check(args, config: ToolkitConfig) -> int:
     elif kind == "dual_pair":
         report = check_dual_pair(obj)
     elif kind == "solve_request":
+        from .solver import build_problem  # numpy: only commands that search load it
+
         report = Report("solve request")
         report.clause("well-formed")
         problem = build_problem(obj.algebra, obj.u_r, obj.options)
@@ -332,6 +335,8 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
 
 
 def cmd_solve(args, config: ToolkitConfig, deterministic: bool) -> int:
+    from .solver import build_problem, minimize, rationalize_verify
+
     req = bundles.parse_solve_request(bundles.load_path(args.infile))
     options = bundles.solve_options(config.solver or {}, req.options)
     if deterministic:

@@ -162,6 +162,20 @@ def test_loader_rejects_unknown_kind():
         bundles.parse_any({"kind": "sandwich"})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "three_tensor", "entries": [[["0"]]]},
+        {"kind": "cobracket", "components": [[["0"]]]},
+    ],
+    ids=["three_tensor", "cobracket"],
+)
+def test_loader_rejects_bool_dim(doc):
+    # `check` has no checker for these kinds, so the CLI cases cannot reach them
+    with pytest.raises(BundleFormatError):
+        bundles.parse_any({**doc, "dim": True})
+
+
 def fixture_path(name):
     return str(FIXTURES / f"{name}.json")
 
@@ -220,6 +234,16 @@ _GENERALIZED = {
     "r": ["0"],
 }
 _LSA = {"kind": "lsa", "dim": 1, "product": [[1, 1, 1, "1"]]}
+_LINE = {"kind": "omega_lie", "dim": 1, "bracket": [], "r": ["0"]}
+_LINE_REP = {"kind": "representation", "algebra": _LINE, "carrier_dim": 1, "rho": {"e1": [["0"]]}}
+_LINE_PAIR = {
+    "kind": "gen_rep_pair",
+    "algebra": _LINE,
+    "carrier_dim": 1,
+    "rep_kind": "gen_i",
+    "rho1": {"e1": [["0"]]},
+    "rho2": {"e1": [["0"]]},
+}
 _SOLVE = _fixture_doc("solve_b2")
 _DUAL = _fixture_doc("dual_pair_classical")
 
@@ -237,6 +261,20 @@ HOSTILE_INPUTS = {
         _with(_DUAL, algebra=_omega_flavor(_DUAL["algebra"])),
         None,
     ),
+    "dim-string-generalized": ("check", _with(_GENERALIZED, dim="2"), None),
+    "dim-string-lsa": ("check", _with(_LSA, dim="2"), None),
+    "dim-bool-omega-lie": ("check", _with(_LINE, dim=True), None),
+    "dim-bool-lsa": ("check", _with(_LSA, dim=True), None),
+    "dim-bool-two-tensor": ("check", {"kind": "two_tensor", "dim": True, "entries": [["0"]]}, None),
+    "carrier-dim-bool-representation": ("check", _with(_LINE_REP, carrier_dim=True), None),
+    "carrier-dim-zero-representation": (
+        "check",
+        _with(_LINE_REP, carrier_dim=0, rho={"e1": []}),
+        None,
+    ),
+    "carrier-dim-bool-gen-rep-pair": ("check", _with(_LINE_PAIR, carrier_dim=True), None),
+    "bool-basis-index": ("check", _with(_fixture_doc("b2"), bracket=[[True, 2, 1, "1"]]), None),
+    "config-not-object": ("check", _fixture_doc("b2"), [1]),
 }
 
 
@@ -418,8 +456,26 @@ def test_checker_modules_do_not_import_numpy():
     code = (
         "import sys\n"
         "import omegalie.algebras, omegalie.bialgebra, omegalie.yang_baxter, omegalie.operators\n"
+        "import omegalie.cli, omegalie.bundles\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_non_solve_commands_do_not_import_numpy(tmp_path):
+    # only solve, and check of a solve_request, run the numpy solver
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["check", fixture_path("b2")],
+        ["verify", "thm-5.18", "--in", fixture_path("good_t")],
+    ]
+    code = (
+        "import sys\n"
+        "from omegalie.cli import run\n"
+        f"print([run(['--out', {out!r}] + argv) for argv in {commands!r}], 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] False"
