@@ -75,17 +75,7 @@ class OmegaLieAlgebra:
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("bracket operands must match the algebra dimension")
-        out = Vector.zero(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                out = out + (xi * yj) * self.table[i][j]
-        return out
+        return _bilinear(self.table, x, y)
 
     def omega_basis(self, i: int, j: int) -> Fraction:
         """Twist value on a basis pair, via r([.,.]) in the multiplicative flavor."""

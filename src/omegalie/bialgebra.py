@@ -15,9 +15,15 @@ from fractions import Fraction
 
 from .algebras import OmegaLieAlgebra, check_omega_lie
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, Vector, _int_matmul, _integer_numerators
+from .linalg import Matrix, Subspace, Vector, _int_matmul, _integer_numerators, combine, pad
 from .reports import Report
-from .representations import GenRepPair, adjoint_pair, check_gen_rep, generalized_dual_pair
+from .representations import (
+    GenRepPair,
+    _dual_family,
+    adjoint_pair,
+    check_gen_rep,
+    generalized_dual_pair,
+)
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,9 @@ class DualPair:
     ``u_r`` is the element of the algebra representing the partner's linear
     form under the canonical pairing; its coordinates equal that form's
     coefficients in the dual basis.
+
+    ``dual_pair`` is the verifying constructor: it checks both algebras and
+    every operator pair it builds.  A pair built directly is not verified.
     """
 
     algebra: OmegaLieAlgebra
@@ -61,13 +70,19 @@ def dual_pair(algebra: OmegaLieAlgebra, dual: OmegaLieAlgebra) -> DualPair:
     return DualPair(algebra, dual, pair_on_dual, pair_on_algebra, u_r_of(dual))
 
 
+def _coadjoint_families(algebra: OmegaLieAlgebra) -> tuple:
+    """The two families of the dual of the adjoint pair, unverified."""
+    adjoint = adjoint_pair(algebra)
+    return _dual_family(algebra, adjoint.rho1), _dual_family(algebra, adjoint.rho2)
+
+
 def uses_standard_pairs(dp: DualPair) -> bool:
-    std = dual_pair(dp.algebra, dp.dual)
+    """Whether both operator pairs are the ones ``dual_pair`` builds."""
+    on_dual = (dp.pair_on_dual.rho1, dp.pair_on_dual.rho2)
+    on_algebra = (dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2)
     return (
-        dp.pair_on_dual.rho1 == std.pair_on_dual.rho1
-        and dp.pair_on_dual.rho2 == std.pair_on_dual.rho2
-        and dp.pair_on_algebra.rho1 == std.pair_on_algebra.rho1
-        and dp.pair_on_algebra.rho2 == std.pair_on_algebra.rho2
+        on_dual == _coadjoint_families(dp.algebra)
+        and on_algebra == _coadjoint_families(dp.dual)
     )
 
 
@@ -94,10 +109,6 @@ def double_bracket(dp: DualPair) -> OmegaLieAlgebra:
     rho1, rho2 = dp.pair_on_dual.rho1, dp.pair_on_dual.rho2
     pi1, pi2 = dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2
     r_vec, u = L.r, dp.u_r
-
-    def pad(head: Vector, tail: Vector) -> Vector:
-        return Vector(tuple(head) + tuple(tail))
-
     zero = Vector.zero(n)
     table = [[Vector.zero(total) for _ in range(total)] for _ in range(total)]
     for i in range(n):
@@ -133,14 +144,6 @@ def check_matched_pair(dp: DualPair) -> Report:
     pi1, pi2 = dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2
     r_vec, u = L.r, dp.u_r
     basis = [Vector.unit(n, i) for i in range(n)]
-
-    def combine(mats, coeffs: Vector) -> Matrix:
-        out = Matrix.zero(n, n)
-        for t, c in enumerate(coeffs):
-            if c != 0:
-                out = out + c * mats[t]
-        return out
-
     report = Report("matched-pair conditions")
 
     cond1 = report.clause("mixed-derivation-on-algebra")
@@ -350,11 +353,7 @@ class CobracketDelta:
         object.__setattr__(self, "component", comps)
 
     def of(self, x: Vector) -> Matrix:
-        out = Matrix.zero(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + xi * self.component[i]
-        return out
+        return combine(self.component, x)
 
     @staticmethod
     def zero(n: int) -> "CobracketDelta":
@@ -402,7 +401,8 @@ def check_mult_bialgebra(dp: DualPair) -> Report:
     if not uses_standard_pairs(dp):
         raise ValueError("only the standard coadjoint-style operator binding is supported")
     report = _check_bialgebra_side(dp, prefix="")
-    mirror = dual_pair(dp.dual, dp.algebra)
+    # for standard pairs this is dual_pair(dp.dual, dp.algebra), without re-verifying
+    mirror = DualPair(dp.dual, dp.algebra, dp.pair_on_algebra, dp.pair_on_dual, u_r_of(dp.algebra))
     report.extend(_check_bialgebra_side(mirror, prefix="mirror-"), "")
     return report
 

@@ -24,12 +24,20 @@ from .yang_baxter import TwoTensor
 if TYPE_CHECKING:
     from .solver import SolveOptions
 
+# Largest dim or carrier_dim a document may declare.  The sweeps take n^4
+# time and n^3 memory, and the loader allocates a dense table before it reads
+# any entry.  16 is twice the largest dimension the checkers are built for
+# (8), so doubles and lifts of such inputs still load.
+MAX_DIM = 16
+
 
 def _fail(msg: str) -> None:
     raise BundleFormatError(msg)
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        _fail(f"expected an object with field {key!r}, got {type(doc).__name__}")
     if key not in doc:
         _fail(f"missing required field {key!r}")
     return doc[key]
@@ -42,8 +50,8 @@ def _is_int(value) -> bool:
 
 def _parse_dim(doc: dict, key: str = "dim") -> int:
     n = _require(doc, key)
-    if not _is_int(n) or n < 1:
-        _fail(f"{key} must be a positive integer, not {n!r}")
+    if not _is_int(n) or not 1 <= n <= MAX_DIM:
+        _fail(f"{key} must be an integer from 1 to {MAX_DIM}, not {n!r}")
     return n
 
 
@@ -461,9 +469,9 @@ def solve_request_doc(req: SolveRequest) -> dict:
 
 def parse_any(doc: dict):
     """Dispatch a document by its kind field."""
-    if not isinstance(doc, dict):
-        _fail("document must be a JSON object")
     kind = _require(doc, "kind")
+    if not isinstance(kind, str):
+        _fail(f"kind must be a string, not {kind!r}")
     parsers = {
         "omega_lie": parse_omega_lie,
         "generalized": parse_generalized,

@@ -242,6 +242,22 @@ class Matrix:
         return "[" + "; ".join(", ".join(rat_str(a) for a in row) for row in self.rows) + "]"
 
 
+def combine(mats: Sequence[Matrix], coeffs: Iterable[Fraction]) -> Matrix:
+    """The linear combination sum_i coeffs[i] * mats[i], skipping zero
+    coefficients: the image of a vector under a family of matrices indexed
+    by a basis."""
+    out = Matrix.zero(*mats[0].shape)
+    for i, c in enumerate(coeffs):
+        if c != 0:
+            out = out + c * mats[i]
+    return out
+
+
+def pad(head: Vector, tail: Vector) -> Vector:
+    """The vector (head, tail) of a direct sum."""
+    return Vector(tuple(head) + tuple(tail))
+
+
 class ThreeTensor:
     """Immutable order-3 tensor with all three slots of the same dimension."""
 

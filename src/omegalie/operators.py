@@ -19,7 +19,7 @@ from .algebras import (
     subadjacent,
 )
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, Vector, rref, solve_linear
+from .linalg import Matrix, Subspace, Vector, combine, rref, solve_linear
 from .reports import Report
 from .representations import (
     GenRepKind,
@@ -64,25 +64,16 @@ def _check_transport(
     algebra: OmegaLieAlgebra, rho: tuple, carrier_dim: int, t: Matrix, clause_name: str
 ) -> Report:
     _operator_shapes(algebra, carrier_dim, t)
-    n, m = algebra.dim, carrier_dim
+    m = carrier_dim
     report = Report("operator transport identity")
     clause = report.clause(clause_name)
     r = algebra.r
     t_cols = [t.column(b) for b in range(m)]
-
-    def rho_of(x: Vector) -> Matrix:
-        out = Matrix.zero(m, m)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + xi * rho[i]
-        return out
-
-    carrier_basis = [Vector.unit(m, b) for b in range(m)]
     for a in range(m):
         for b in range(m):
             tu, tv = t_cols[a], t_cols[b]
             lhs = algebra.bracket(tu, tv)
-            inner = rho_of(tu).apply(carrier_basis[b]) - rho_of(tv).apply(carrier_basis[a])
+            inner = combine(rho, tu).column(b) - combine(rho, tv).column(a)
             rhs = t.apply(inner) + (2 * r.dot(tv)) * tu - (2 * r.dot(tu)) * tv
             if lhs != rhs:
                 clause.add((a, b), lhs, rhs)

@@ -18,8 +18,8 @@ from .algebras import (
     check_omega_lie,
 )
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Vector
-from .reports import Report
+from .linalg import Matrix, Vector, combine, pad, solve_linear
+from .reports import Clause, Report
 
 
 def _check_operator_family(algebra_dim: int, carrier_dim: int, mats, what: str) -> tuple:
@@ -30,14 +30,6 @@ def _check_operator_family(algebra_dim: int, carrier_dim: int, mats, what: str) 
         if m.shape != (carrier_dim, carrier_dim):
             raise DimensionMismatch(f"{what} matrices must be {carrier_dim} x {carrier_dim}")
     return mats
-
-
-def _combine(mats: tuple, x: Vector) -> Matrix:
-    out = Matrix.zero(mats[0].shape[0], mats[0].shape[1])
-    for i, xi in enumerate(x):
-        if xi != 0:
-            out = out + xi * mats[i]
-    return out
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,7 @@ class Representation:
         )
 
     def rho_of(self, x: Vector) -> Matrix:
-        return _combine(self.rho, x)
+        return combine(self.rho, x)
 
 
 class GenRepKind(Enum):
@@ -92,10 +84,10 @@ class GenRepPair:
             raise DimensionMismatch("the associated kind lives on the dual of the algebra")
 
     def rho1_of(self, x: Vector) -> Matrix:
-        return _combine(self.rho1, x)
+        return combine(self.rho1, x)
 
     def rho2_of(self, x: Vector) -> Matrix:
-        return _combine(self.rho2, x)
+        return combine(self.rho2, x)
 
 
 @dataclass(frozen=True)
@@ -119,38 +111,85 @@ class SpecialRepII:
             )
 
 
-def check_representation(rep: Representation) -> Report:
-    """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) + omega(x,y) id, on basis pairs."""
-    alg, n, m = rep.algebra, rep.algebra.dim, rep.carrier_dim
-    report = Report("representation identity")
-    clause = report.clause("representation")
-    ident = Matrix.identity(m)
+def _pulled_back(r: Vector, table) -> list:
+    """r([e_i, e_j]) for every basis pair of a bracket table."""
+    return [[r.dot(v) for v in row] for row in table]
+
+
+def _correction(r: Vector, rho1: tuple, rho2: tuple, i: int, j: int) -> Matrix:
+    """Second-kind correction 2r_i rho1_j - 2r_j rho1_i - 2r_i rho2_j + 2r_j rho2_i."""
+    return (
+        (2 * r[i]) * rho1[j]
+        - (2 * r[j]) * rho1[i]
+        - (2 * r[i]) * rho2[j]
+        + (2 * r[j]) * rho2[i]
+    )
+
+
+def _rep_identity(
+    clause: Clause, table, twist: list, rho1: tuple, rho2: tuple, second_kind: Vector | None = None
+) -> None:
+    """rho1([e_i, e_j]) = rho2_i rho1_j - rho2_j rho1_i + twist[i][j] id on all
+    basis pairs in C order; a representation is the case rho1 = rho2.
+
+    ``second_kind`` is the linear form r of the second kind, or None for the
+    first: the second kind multiplies rho1_i rho2_j - rho1_j rho2_i instead
+    and adds the correction term.
+    """
+    n = len(table)
+    ident = Matrix.identity(rho1[0].shape[0])
     for i in range(n):
         for j in range(n):
-            lhs = rep.rho_of(alg.table[i][j])
-            rhs = rep.rho[i] @ rep.rho[j] - rep.rho[j] @ rep.rho[i] + alg.omega_basis(i, j) * ident
+            lhs = combine(rho1, table[i][j])
+            if second_kind is None:
+                rhs = rho2[i] @ rho1[j] - rho2[j] @ rho1[i] + twist[i][j] * ident
+            else:
+                rhs = (
+                    rho1[i] @ rho2[j]
+                    - rho1[j] @ rho2[i]
+                    + twist[i][j] * ident
+                    + _correction(second_kind, rho1, rho2, i, j)
+                )
             if lhs != rhs:
                 clause.add((i, j), lhs, rhs)
+
+
+def _rho2_from_rho1(clause: Clause, r: Vector, rho1: tuple, rho2: tuple) -> None:
+    """rho2(x)(xi) = rho1(x)(xi) - xi(x) r, checked per dual basis vector."""
+    n = len(rho1)
+    for i in range(n):
+        for k in range(n):
+            lhs = rho2[i].column(k)
+            rhs = rho1[i].column(k) - (Fraction(1) if k == i else Fraction(0)) * r
+            if lhs != rhs:
+                clause.add((i, k), lhs, rhs)
+
+
+def _dual_family(algebra: OmegaLieAlgebra, mats: tuple) -> tuple:
+    """The family on the dual carrier: in dual-basis coordinates each matrix
+    is the negated transpose shifted by twice the r-value of its basis
+    element."""
+    ident = Matrix.identity(mats[0].shape[0])
+    return tuple(-m.transpose() + (2 * algebra.r[i]) * ident for i, m in enumerate(mats))
+
+
+def check_representation(rep: Representation) -> Report:
+    """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) + omega(x,y) id, on basis pairs."""
+    alg, n = rep.algebra, rep.algebra.dim
+    report = Report("representation identity")
+    twist = [[alg.omega_basis(i, j) for j in range(n)] for i in range(n)]
+    _rep_identity(report.clause("representation"), alg.table, twist, rep.rho, rep.rho)
     return report
 
 
 def dual_representation(rep: Representation) -> Representation:
-    """Dual family xi -> -xi o rho(x) + 2 r(x) xi on the dual carrier.
-
-    In dual-basis coordinates each matrix is the negated transpose shifted
-    by twice the r-value of the acting basis element.
-    """
+    """Dual family xi -> -xi o rho(x) + 2 r(x) xi on the dual carrier."""
     alg = rep.algebra
     if not alg.is_multiplicative:
         raise AxiomViolation("dual representation needs the multiplicative flavor")
     if not check_representation(rep).passed:
         raise AxiomViolation("input does not satisfy the representation identity")
-    ident = Matrix.identity(rep.carrier_dim)
-    dual = Representation(
-        alg,
-        rep.carrier_dim,
-        tuple(-rep.rho[i].transpose() + (2 * alg.r[i]) * ident for i in range(alg.dim)),
-    )
+    dual = Representation(alg, rep.carrier_dim, _dual_family(alg, rep.rho))
     result = check_representation(dual)
     if not result.passed:
         raise AxiomViolation(f"dual family fails the representation identity: {result!r}")
@@ -159,41 +198,18 @@ def dual_representation(rep: Representation) -> Representation:
 
 def check_gen_rep(pair: GenRepPair) -> Report:
     """Defining identity of the pair's kind on all basis pairs."""
-    alg, n, m = pair.algebra, pair.algebra.dim, pair.carrier_dim
+    alg = pair.algebra
     report = Report(f"generalized representation ({pair.kind.value})")
-    ident = Matrix.identity(m)
-    clause = report.clause(f"{pair.kind.value}-identity")
-    for i in range(n):
-        for j in range(n):
-            lhs = pair.rho1_of(alg.table[i][j])
-            r_ij = alg.r.dot(alg.table[i][j])
-            if pair.kind is GenRepKind.GEN_I:
-                rhs = (
-                    pair.rho2[i] @ pair.rho1[j]
-                    - pair.rho2[j] @ pair.rho1[i]
-                    + r_ij * ident
-                )
-            else:
-                rhs = (
-                    pair.rho1[i] @ pair.rho2[j]
-                    - pair.rho1[j] @ pair.rho2[i]
-                    + r_ij * ident
-                    + (2 * alg.r[i]) * pair.rho1[j]
-                    - (2 * alg.r[j]) * pair.rho1[i]
-                    - (2 * alg.r[i]) * pair.rho2[j]
-                    + (2 * alg.r[j]) * pair.rho2[i]
-                )
-            if lhs != rhs:
-                clause.add((i, j), lhs, rhs)
+    _rep_identity(
+        report.clause(f"{pair.kind.value}-identity"),
+        alg.table,
+        _pulled_back(alg.r, alg.table),
+        pair.rho1,
+        pair.rho2,
+        None if pair.kind is GenRepKind.GEN_I else alg.r,
+    )
     if pair.kind is GenRepKind.ASSOCIATED_GEN_II:
-        # rho2(x)(xi) = rho1(x)(xi) - xi(x) r, checked per dual basis vector.
-        linked = report.clause("rho2-from-rho1")
-        for i in range(n):
-            for k in range(n):
-                lhs = pair.rho2[i].column(k)
-                rhs = pair.rho1[i].column(k) - (Fraction(1) if k == i else Fraction(0)) * alg.r
-                if lhs != rhs:
-                    linked.add((i, k), lhs, rhs)
+        _rho2_from_rho1(report.clause("rho2-from-rho1"), alg.r, pair.rho1, pair.rho2)
     return report
 
 
@@ -211,27 +227,42 @@ def generalized_dual_pair(pair: GenRepPair) -> GenRepPair:
     """Dual pair on the dual carrier, second kind.
 
     Built from a first-kind pair; raises when the input fails its identity.
+    On the dual of the algebra itself the result is of the associated kind
+    whenever its families satisfy that kind's extra clause.
     """
     if pair.kind is not GenRepKind.GEN_I:
         raise ValueError("the dual construction starts from a first-kind pair")
     if not check_gen_rep(pair).passed:
         raise AxiomViolation("input pair fails the first-kind identity")
     alg = pair.algebra
-    ident = Matrix.identity(pair.carrier_dim)
-    dual_kind = (
-        GenRepKind.ASSOCIATED_GEN_II if pair.carrier_dim == alg.dim else GenRepKind.GEN_II
-    )
-    rho1 = tuple(-pair.rho1[i].transpose() + (2 * alg.r[i]) * ident for i in range(alg.dim))
-    rho2 = tuple(-pair.rho2[i].transpose() + (2 * alg.r[i]) * ident for i in range(alg.dim))
+    rho1, rho2 = _dual_family(alg, pair.rho1), _dual_family(alg, pair.rho2)
     dual = GenRepPair(alg, pair.carrier_dim, rho1, rho2, GenRepKind.GEN_II)
     result = check_gen_rep(dual)
     if not result.passed:
         raise AxiomViolation(f"dual pair fails the second-kind identity: {result!r}")
-    if dual_kind is GenRepKind.ASSOCIATED_GEN_II:
-        associated = GenRepPair(alg, pair.carrier_dim, rho1, rho2, dual_kind)
-        if check_gen_rep(associated).passed:
-            return associated
+    if pair.carrier_dim == alg.dim:
+        # the associated kind is the second kind plus this one clause
+        linked = Clause("rho2-from-rho1")
+        _rho2_from_rho1(linked, alg.r, rho1, rho2)
+        if linked.passed:
+            return GenRepPair(alg, pair.carrier_dim, rho1, rho2, GenRepKind.ASSOCIATED_GEN_II)
     return dual
+
+
+def _semidirect_table(table, left: tuple, right: tuple) -> list:
+    """Bracket table on the algebra of ``table`` plus an abelian carrier:
+    [e_i, v] = left_i v and [v, e_i] = -right_i v."""
+    n, m = len(table), left[0].shape[0]
+    total = n + m
+    zero_l, zero_v = Vector.zero(n), Vector.zero(m)
+    out = [[Vector.zero(total) for _ in range(total)] for _ in range(total)]
+    for i in range(n):
+        for j in range(n):
+            out[i][j] = pad(table[i][j], zero_v)
+        for b in range(m):
+            out[i][n + b] = pad(zero_l, left[i].column(b))
+            out[n + b][i] = pad(zero_l, -right[i].column(b))
+    return out
 
 
 def semidirect_rep(rep: Representation, label: str = "") -> OmegaLieAlgebra:
@@ -245,24 +276,12 @@ def semidirect_rep(rep: Representation, label: str = "") -> OmegaLieAlgebra:
     alg = rep.algebra
     if not alg.is_multiplicative:
         raise AxiomViolation("semidirect product needs the multiplicative flavor")
-    n, m = alg.dim, rep.carrier_dim
-    total = n + m
-
-    def pad(head: Vector, tail: Vector) -> Vector:
-        return Vector(tuple(head) + tuple(tail))
-
-    table = [[Vector.zero(total) for _ in range(total)] for _ in range(total)]
-    zero_l, zero_v = Vector.zero(n), Vector.zero(m)
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = pad(alg.table[i][j], zero_v)
-    for i in range(n):
-        for b in range(m):
-            action = rep.rho[i].column(b)
-            table[i][n + b] = pad(zero_l, action)
-            table[n + b][i] = pad(zero_l, -action)
-    r_bar = pad(alg.r, zero_v)
-    out = OmegaLieAlgebra(total, table, r=r_bar, label=label or "semidirect")
+    out = OmegaLieAlgebra(
+        alg.dim + rep.carrier_dim,
+        _semidirect_table(alg.table, rep.rho, rep.rho),
+        r=pad(alg.r, Vector.zero(rep.carrier_dim)),
+        label=label or "semidirect",
+    )
     result = check_omega_lie(out)
     if not result.passed:
         raise AxiomViolation(f"semidirect product fails its axioms: {result!r}")
@@ -278,81 +297,54 @@ def check_rep_i_generalized(
     rho1 = _check_operator_family(n, m, rho1, "rho1")
     rho2 = _check_operator_family(n, m, rho2, "rho2")
     report = Report("representation-i (two-bracket)")
-    clause = report.clause("rep-i-identity")
-    ident = Matrix.identity(m)
-    for i in range(n):
-        for j in range(n):
-            lhs = _combine(rho1, algebra.table1[i][j])
-            rhs = (
-                rho2[i] @ rho1[j]
-                - rho2[j] @ rho1[i]
-                + algebra.r.dot(algebra.table1[i][j]) * ident
-            )
-            if lhs != rhs:
-                clause.add((i, j), lhs, rhs)
+    _rep_identity(
+        report.clause("rep-i-identity"),
+        algebra.table1,
+        _pulled_back(algebra.r, algebra.table1),
+        rho1,
+        rho2,
+    )
     return report
 
 
 def check_special_rep_ii(data: SpecialRepII) -> Report:
     """Second-kind identity plus the f-identity of a special second-kind tuple."""
-    alg, n, m = data.algebra, data.algebra.dim, data.carrier_dim
+    alg, n = data.algebra, data.algebra.dim
     report = Report("special representation-ii")
-    ident = Matrix.identity(m)
-    main = report.clause("rep-ii-identity")
+    _rep_identity(
+        report.clause("rep-ii-identity"),
+        alg.table1,
+        _pulled_back(alg.r, alg.table1),
+        data.rho1,
+        data.rho2,
+        alg.r,
+    )
     f_clause = report.clause("f-identity")
-    r = alg.r
     for i in range(n):
         for j in range(n):
-            bracket1 = alg.table1[i][j]
-            correction = (
-                (2 * r[i]) * data.rho1[j]
-                - (2 * r[j]) * data.rho1[i]
-                - (2 * r[i]) * data.rho2[j]
-                + (2 * r[j]) * data.rho2[i]
-            )
-            lhs = _combine(data.rho1, bracket1)
-            rhs = (
-                data.rho1[i] @ data.rho2[j]
-                - data.rho1[j] @ data.rho2[i]
-                + r.dot(bracket1) * ident
-                + correction
-            )
+            lhs = combine(data.f, alg.table1[i][j])
+            rhs = _correction(alg.r, data.rho1, data.rho2, i, j)
             if lhs != rhs:
-                main.add((i, j), lhs, rhs)
-            lhs_f = _combine(data.f, bracket1)
-            if lhs_f != correction:
-                f_clause.add((i, j), lhs_f, correction)
+                f_clause.add((i, j), lhs, rhs)
     return report
 
 
 def _semidirect_generalized(
     algebra: GeneralizedOmegaLieAlgebra,
-    block1,
-    block2,
+    left1: tuple,
+    right1: tuple,
+    left2: tuple,
+    right2: tuple,
     label: str,
 ) -> GeneralizedOmegaLieAlgebra:
-    n = algebra.dim
-    m = block1("carrier")
-    total = n + m
-
-    def pad(head: Vector, tail: Vector) -> Vector:
-        return Vector(tuple(head) + tuple(tail))
-
-    zero_l, zero_v = Vector.zero(n), Vector.zero(m)
-    t1 = [[Vector.zero(total) for _ in range(total)] for _ in range(total)]
-    t2 = [[Vector.zero(total) for _ in range(total)] for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            t1[i][j] = pad(algebra.table1[i][j], zero_v)
-            t2[i][j] = pad(algebra.table2[i][j], zero_v)
-    for i in range(n):
-        for b in range(m):
-            t1[i][n + b] = pad(zero_l, block1("left", i, b))
-            t1[n + b][i] = pad(zero_l, block1("right", i, b))
-            t2[i][n + b] = pad(zero_l, block2("left", i, b))
-            t2[n + b][i] = pad(zero_l, block2("right", i, b))
-    r_bar = pad(algebra.r, zero_v)
-    return GeneralizedOmegaLieAlgebra(total, t1, t2, r=r_bar, label=label)
+    m = left1[0].shape[0]
+    return GeneralizedOmegaLieAlgebra(
+        algebra.dim + m,
+        _semidirect_table(algebra.table1, left1, right1),
+        _semidirect_table(algebra.table2, left2, right2),
+        r=pad(algebra.r, Vector.zero(m)),
+        label=label,
+    )
 
 
 def semidirect_gen_i(
@@ -367,21 +359,7 @@ def semidirect_gen_i(
     m = rho1[0].shape[0]
     rho1 = _check_operator_family(algebra.dim, m, rho1, "rho1")
     rho2 = _check_operator_family(algebra.dim, m, rho2, "rho2")
-
-    def block1(which, i=None, b=None):
-        if which == "carrier":
-            return m
-        col = rho1[i].column(b)
-        return col if which == "left" else -col
-
-    def block2(which, i=None, b=None):
-        if which == "carrier":
-            return m
-        if which == "left":
-            return rho1[i].column(b)
-        return -rho2[i].column(b)
-
-    out = _semidirect_generalized(algebra, block1, block2, label or "semidirect-gen-i")
+    out = _semidirect_generalized(algebra, rho1, rho1, rho1, rho2, label or "semidirect-gen-i")
     return out, check_generalized(out)
 
 
@@ -393,22 +371,10 @@ def semidirect_special_ii(
     Second bracket acts by rho1 minus the one-sided f-correction on the
     left slot only, exactly as the construction prescribes.
     """
-    m = data.carrier_dim
-
-    def block1(which, i=None, b=None):
-        if which == "carrier":
-            return m
-        col = data.rho2[i].column(b)
-        return col if which == "left" else -col
-
-    def block2(which, i=None, b=None):
-        if which == "carrier":
-            return m
-        if which == "left":
-            return data.rho1[i].column(b) - data.f[i].column(b)
-        return -data.rho1[i].column(b)
-
-    out = _semidirect_generalized(data.algebra, block1, block2, label or "semidirect-special-ii")
+    shifted = tuple(a - f for a, f in zip(data.rho1, data.f))
+    out = _semidirect_generalized(
+        data.algebra, data.rho2, data.rho2, shifted, data.rho1, label or "semidirect-special-ii"
+    )
     return out, check_generalized(out)
 
 
@@ -420,26 +386,16 @@ def solve_f_for_special_ii(
     Returns the pivot-convention solution as a matrix family, or None when
     the identity admits no linear f.
     """
-    from .linalg import Matrix as _M, solve_linear as _solve
-
     n = algebra.dim
     m = rho1[0].shape[0]
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    coeff = _M([[algebra.table1[i][j][k] for k in range(n)] for (i, j) in pairs])
-    r = algebra.r
-    targets = {}
-    for (i, j) in pairs:
-        targets[(i, j)] = (
-            (2 * r[i]) * rho1[j]
-            - (2 * r[j]) * rho1[i]
-            - (2 * r[i]) * rho2[j]
-            + (2 * r[j]) * rho2[i]
-        )
+    coeff = Matrix([[algebra.table1[i][j][k] for k in range(n)] for (i, j) in pairs])
+    targets = {(i, j): _correction(algebra.r, rho1, rho2, i, j) for (i, j) in pairs}
     solution = [[[Fraction(0)] * m for _ in range(m)] for _ in range(n)]
     for p in range(m):
         for q in range(m):
             rhs = Vector([targets[pair][p, q] for pair in pairs])
-            x = _solve(coeff, rhs)
+            x = solve_linear(coeff, rhs)
             if x is None:
                 return None
             for k in range(n):

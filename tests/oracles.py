@@ -304,3 +304,90 @@ def invariant_form_sides(c, gram, r):
                 if lhs != rhs:
                     out[(i, j, k)] = (lhs, rhs)
     return out
+
+
+def _matmul(a, b):
+    return [
+        [sum((a[p][s] * b[s][q] for s in range(len(b))), Fraction(0)) for q in range(len(b[0]))]
+        for p in range(len(a))
+    ]
+
+
+def rep_identity_sides(c, twist, rho1, rho2, r=None):
+    """Both sides of a representation-type identity on basis pairs, where
+    they differ.  rho1, rho2 hold one raw carrier matrix per basis element.
+
+    Without r, the first kind: rho1([e_i, e_j]) = rho2_i rho1_j - rho2_j rho1_i
+    + twist[i][j] id (a representation when rho1 = rho2).  With r, the second
+    kind: rho1([e_i, e_j]) = rho1_i rho2_j - rho1_j rho2_i + twist[i][j] id
+    + 2 r_i rho1_j - 2 r_j rho1_i - 2 r_i rho2_j + 2 r_j rho2_i.
+    """
+    n, m = len(c), len(rho1[0])
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            lhs = [
+                [sum((c[i][j][k] * rho1[k][p][q] for k in range(n)), Fraction(0))
+                 for q in range(m)]
+                for p in range(m)
+            ]
+            if r is None:
+                ab, ba = _matmul(rho2[i], rho1[j]), _matmul(rho2[j], rho1[i])
+            else:
+                ab, ba = _matmul(rho1[i], rho2[j]), _matmul(rho1[j], rho2[i])
+            rhs = [[ab[p][q] - ba[p][q] for q in range(m)] for p in range(m)]
+            for p in range(m):
+                rhs[p][p] += twist[i][j]
+            if r is not None:
+                corr = second_kind_correction(r, rho1, rho2, i, j)
+                rhs = [[rhs[p][q] + corr[p][q] for q in range(m)] for p in range(m)]
+            if lhs != rhs:
+                out[(i, j)] = (lhs, rhs)
+    return out
+
+
+def second_kind_correction(r, rho1, rho2, i, j):
+    """2 r_i rho1_j - 2 r_j rho1_i - 2 r_i rho2_j + 2 r_j rho2_i, raw."""
+    m = len(rho1[0])
+    return [
+        [
+            2 * r[i] * rho1[j][p][q]
+            - 2 * r[j] * rho1[i][p][q]
+            - 2 * r[i] * rho2[j][p][q]
+            + 2 * r[j] * rho2[i][p][q]
+            for q in range(m)
+        ]
+        for p in range(m)
+    ]
+
+
+def f_identity_sides(c, r, rho1, rho2, f):
+    """Both sides of f([e_i, e_j]) = the second-kind correction, where they
+    differ."""
+    n, m = len(c), len(rho1[0])
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            lhs = [
+                [sum((c[i][j][k] * f[k][p][q] for k in range(n)), Fraction(0))
+                 for q in range(m)]
+                for p in range(m)
+            ]
+            rhs = second_kind_correction(r, rho1, rho2, i, j)
+            if lhs != rhs:
+                out[(i, j)] = (lhs, rhs)
+    return out
+
+
+def rho2_from_rho1_sides(r, rho1, rho2):
+    """Both sides of rho2_i e_k = rho1_i e_k - delta_ik r (columns of the raw
+    matrices), where they differ."""
+    n = len(rho1)
+    out = {}
+    for i in range(n):
+        for k in range(n):
+            lhs = [rho2[i][p][k] for p in range(n)]
+            rhs = [rho1[i][p][k] - (r[p] if k == i else 0) for p in range(n)]
+            if lhs != rhs:
+                out[(i, k)] = (lhs, rhs)
+    return out

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from omegalie.algebras import OmegaLieAlgebra, abelian, check_omega_lie, omega_lie
 from omegalie.bialgebra import (
     BilinearForm,
+    DualPair,
     check_invariant_form,
     check_manin_triple,
     check_matched_pair,
@@ -208,6 +210,22 @@ def test_one_sided_conditions_are_not_enough():
     assert all(c.passed for c in one_sided)
     assert not report.passed
     assert not check_omega_lie(double_bracket(dp)).passed
+
+
+@pytest.mark.parametrize("change", ["swapped", "rho1-on-dual", "rho2-on-algebra"])
+def test_bialgebra_rejects_nonstandard_pairs(change):
+    dp = classical_pair()
+    on_dual, on_algebra = dp.pair_on_dual, dp.pair_on_algebra
+    bump = Matrix.identity(2)
+    if change == "swapped":
+        on_dual, on_algebra = on_algebra, on_dual
+    elif change == "rho1-on-dual":
+        on_dual = replace(on_dual, rho1=(on_dual.rho1[0] + bump, on_dual.rho1[1]))
+    else:
+        on_algebra = replace(on_algebra, rho2=(on_algebra.rho2[0], on_algebra.rho2[1] + bump))
+    assert check_mult_bialgebra(dp).passed
+    with pytest.raises(ValueError, match="standard"):
+        check_mult_bialgebra(DualPair(dp.algebra, dp.dual, on_dual, on_algebra, dp.u_r))
 
 
 def test_crosscheck_classical_and_abelian():

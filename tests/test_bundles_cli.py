@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalie import bundles
 from omegalie.algebras import abelian
@@ -246,6 +250,7 @@ _LINE_PAIR = {
 }
 _SOLVE = _fixture_doc("solve_b2")
 _DUAL = _fixture_doc("dual_pair_classical")
+_GOOD_T = _fixture_doc("good_t")
 
 # (command, bundle document, config document or None)
 HOSTILE_INPUTS = {
@@ -275,6 +280,20 @@ HOSTILE_INPUTS = {
     "carrier-dim-bool-gen-rep-pair": ("check", _with(_LINE_PAIR, carrier_dim=True), None),
     "bool-basis-index": ("check", _with(_fixture_doc("b2"), bracket=[[True, 2, 1, "1"]]), None),
     "config-not-object": ("check", _fixture_doc("b2"), [1]),
+    "rep-not-object-o-operator": ("check", _with(_GOOD_T, rep=5), None),
+    "rep-string-o-operator": ("check", _with(_GOOD_T, rep="kind"), None),
+    "algebra-not-object-o-operator": ("check", _with(_GOOD_T, algebra=5), None),
+    "dual-not-object-dual-pair": ("check", _with(_DUAL, dual=5), None),
+    "algebra-not-object-two-tensor": ("check", _with(_fixture_doc("wedge_ctx"), algebra=5), None),
+    "algebra-not-object-solve-request": ("check", _with(_SOLVE, algebra=5), None),
+    "kind-list": ("check", _with(_LINE, kind=[]), None),
+    "kind-object": ("check", _with(_LINE, kind={}), None),
+    "dim-above-cap-omega-lie": ("check", {"kind": "omega_lie", "dim": 17, "bracket": []}, None),
+    "carrier-dim-above-cap-representation": (
+        "check",
+        _with(_LINE_REP, carrier_dim=17, rho={"e1": [["0"] * 17] * 17}),
+        None,
+    ),
 }
 
 
@@ -293,6 +312,72 @@ def test_cli_hostile_input_exit_2(case, tmp_path, capsys):
     assert captured.out == ""
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
+
+
+# Replacement values for the exit-code fuzzer: wrong types, empty blocks,
+# bools, and integers that are negative, zero, past the dimension cap or huge.
+_BAD_VALUES = [5, "x", [], {}, True, None, -1, 0, 17, 10**9, "2"]
+# The cross-check that reads each fixture kind; solve is left out, since its
+# exit 1 means "did not converge" rather than a FAIL report.
+_VERIFY = {
+    "dual_pair_classical": "thm-3.8",
+    "wedge_ctx": "thm-4.4",
+    "good_t": "thm-5.18",
+    "bad_t": "thm-5.18",
+}
+
+
+def _positions(value, path=()):
+    """Path of every value below the top of a JSON document."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, child in children:
+        out.append(path + (key,))
+        out += _positions(child, path + (key,))
+    return out
+
+
+_FUZZ_TARGETS = [
+    (path.stem, position)
+    for path in sorted(FIXTURES.glob("*.json"))
+    for position in _positions(json.loads(path.read_text()))
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(target=st.sampled_from(_FUZZ_TARGETS), value=st.sampled_from(_BAD_VALUES))
+def test_cli_exit_codes_under_fuzzed_fixtures(fuzz_dir, target, value):
+    name, position = target
+    doc = _fixture_doc(name)
+    parent = doc
+    for key in position[:-1]:
+        parent = parent[key]
+    parent[position[-1]] = value
+    path = fuzz_dir / "input.json"
+    path.write_text(json.dumps(doc))
+    commands = [["check", str(path)]]
+    if name in _VERIFY:
+        commands.append(["verify", _VERIFY[name], "--in", str(path)])
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert json.loads(out.getvalue())["kind"] == "report"
+        if code == 2:
+            assert out.getvalue() == ""
+            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
 
 
 def test_cli_yb_residual_zero_tensor(capsys):

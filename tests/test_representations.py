@@ -1,6 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from omegalie.algebras import GeneralizedOmegaLieAlgebra, abelian, check_omega_lie
+from omegalie.algebras import GeneralizedOmegaLieAlgebra, OmegaLieAlgebra, abelian, check_omega_lie
 from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, Vector
 from omegalie.representations import (
@@ -21,8 +24,20 @@ from omegalie.representations import (
     solve_f_for_special_ii,
 )
 
-from conftest import corpus_algebras, make_ax2, make_b2, raw_table
-from oracles import classical_semidirect
+from conftest import (
+    antisymmetrize,
+    corpus_algebras,
+    make_ax2,
+    make_b2,
+    raw_table,
+    vectors_from_raw,
+)
+from oracles import (
+    classical_semidirect,
+    f_identity_sides,
+    rep_identity_sides,
+    rho2_from_rho1_sides,
+)
 
 
 def scalar_rep(algebra) -> Representation:
@@ -238,3 +253,116 @@ def test_constructions_classical_reduction_entrywise():
     dual = generalized_dual_pair(pair)
     for i in range(2):
         assert dual.rho1[i] == -b2.ad1(i).transpose()
+
+
+def _raw(mats):
+    return [[list(row) for row in m.rows] for m in mats]
+
+
+def _assert_clause(clause, sides, as_value):
+    """The clause lists exactly the oracle's index pairs, in C order, each
+    with the oracle's values of both sides."""
+    assert [v.indices for v in clause.violations] == sorted(sides)
+    for v in clause.violations:
+        lhs, rhs = sides[v.indices]
+        assert (v.lhs, v.rhs) == (repr(as_value(lhs)), repr(as_value(rhs)))
+
+
+def _random_case(rng):
+    """An algebra of dim n and two families on an m-dim carrier, entries in
+    -2..2 over 1 or a per-case denominator.  Half the algebras satisfy the
+    axioms (a corpus algebra with table and r scaled by one rational), and
+    half the families satisfy the identities before one member is perturbed
+    or not."""
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    den = rng.randint(2, 7)
+
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.choice((1, den)))
+
+    def family():
+        return tuple(Matrix([[entry() for _ in range(m)] for _ in range(m)]) for _ in range(n))
+
+    valid = [a for a in corpus_algebras() if a.dim == n]
+    if rng.random() < 0.5:
+        base = rng.choice(valid)
+        scale = Fraction(rng.choice((1, -1, 2)), rng.choice((1, den)))
+        raw = [[[scale * x for x in base.table[i][j]] for j in range(n)] for i in range(n)]
+        r = [scale * x for x in base.r]
+    else:
+        raw = antisymmetrize([[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+        r = [entry() for _ in range(n)]
+    alg = OmegaLieAlgebra(n, vectors_from_raw(raw), r=Vector(r))
+    choice = rng.randrange(4)
+    if choice == 0:
+        rho1 = rho2 = tuple(alg.r[i] * Matrix.identity(m) for i in range(n))
+    elif choice == 1 and m == n:
+        pair = adjoint_pair(alg)
+        rho1, rho2 = pair.rho1, pair.rho2
+    elif choice == 2 and m == n:
+        # the dual of the adjoint pair, built by hand
+        ident = Matrix.identity(n)
+        pair = adjoint_pair(alg)
+        rho1 = tuple(-a.transpose() + (2 * r[i]) * ident for i, a in enumerate(pair.rho1))
+        rho2 = tuple(-a.transpose() + (2 * r[i]) * ident for i, a in enumerate(pair.rho2))
+    else:
+        rho1, rho2 = family(), family()
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        bump = family()[0]
+        rho1 = tuple(a + bump if i == k else a for i, a in enumerate(rho1))
+    return alg, raw, r, m, rho1, rho2, family()
+
+
+def test_rep_identities_match_oracle():
+    """check_representation, check_gen_rep of every kind,
+    check_rep_i_generalized and check_special_rep_ii report the oracle's
+    violations, in C order, with its values."""
+    rng = random.Random(2718)
+    verdicts = set()
+    for _ in range(150):
+        alg, raw, r, m, rho1, rho2, f = _random_case(rng)
+        n = alg.dim
+        twist = [
+            [sum((r[k] * raw[i][j][k] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        first = rep_identity_sides(raw, twist, _raw(rho1), _raw(rho2))
+        second = rep_identity_sides(raw, twist, _raw(rho1), _raw(rho2), r)
+
+        report = check_representation(Representation(alg, m, rho1))
+        own = rep_identity_sides(raw, twist, _raw(rho1), _raw(rho1))
+        _assert_clause(report.clauses[0], own, Matrix)
+        verdicts.add(report.passed)
+        kinds = [GenRepKind.GEN_I, GenRepKind.GEN_II] + [GenRepKind.ASSOCIATED_GEN_II] * (m == n)
+        for kind in kinds:
+            report = check_gen_rep(GenRepPair(alg, m, rho1, rho2, kind))
+            _assert_clause(report.clauses[0], first if kind is GenRepKind.GEN_I else second, Matrix)
+            if kind is GenRepKind.ASSOCIATED_GEN_II:
+                linked = rho2_from_rho1_sides(r, _raw(rho1), _raw(rho2))
+                _assert_clause(report.clauses[1], linked, Vector)
+            verdicts.add(report.passed)
+
+        g = GeneralizedOmegaLieAlgebra(n, alg.table, alg.table, r=alg.r)
+        _assert_clause(check_rep_i_generalized(g, rho1, rho2).clauses[0], first, Matrix)
+        report = check_special_rep_ii(SpecialRepII(g, m, rho1, rho2, f))
+        _assert_clause(report.clauses[0], second, Matrix)
+        f_sides = f_identity_sides(raw, r, _raw(rho1), _raw(rho2), _raw(f))
+        _assert_clause(report.clauses[1], f_sides, Matrix)
+    assert verdicts == {True, False}
+
+
+def test_rep_identity_with_explicit_omega_matches_oracle():
+    rng = random.Random(3141)
+    for _ in range(40):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+
+        def entry():
+            return Fraction(rng.randint(-2, 2), rng.choice((1, 3)))
+
+        raw = antisymmetrize([[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+        omega = [[entry() for _ in range(n)] for _ in range(n)]
+        alg = OmegaLieAlgebra(n, vectors_from_raw(raw), omega=Matrix(omega))
+        rho = tuple(Matrix([[entry() for _ in range(m)] for _ in range(m)]) for _ in range(n))
+        sides = rep_identity_sides(raw, omega, _raw(rho), _raw(rho))
+        _assert_clause(check_representation(Representation(alg, m, rho)).clauses[0], sides, Matrix)
