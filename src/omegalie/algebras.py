@@ -70,9 +70,6 @@ class OmegaLieAlgebra:
     def is_multiplicative(self) -> bool:
         return self.r is not None
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
-
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the structure constants."""
         return _bilinear(self.table, x, y)
@@ -163,9 +160,6 @@ class LeftSymmetricAlgebra:
     @property
     def is_plain(self) -> bool:
         return self.r is None and self.omega is None
-
-    def product_basis(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
 
     def product(self, x: Vector, y: Vector) -> Vector:
         return _bilinear(self.table, x, y)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebras import OmegaLieAlgebra, check_omega_lie
 from .errors import AxiomViolation, DimensionMismatch
@@ -36,7 +37,8 @@ class DualPair:
     coefficients in the dual basis.
 
     ``dual_pair`` is the verifying constructor: it checks both algebras and
-    every operator pair it builds.  A pair built directly is not verified.
+    every operator pair it builds.  A pair built directly is not verified,
+    and the checkers that take a pair assume ``dual_pair`` verified it.
     """
 
     algebra: OmegaLieAlgebra
@@ -135,99 +137,95 @@ def double_bracket(dp: DualPair) -> OmegaLieAlgebra:
     return OmegaLieAlgebra(total, table, r=r_bar, label=label)
 
 
+def _mirror(dp: DualPair) -> DualPair:
+    """The pair seen from the other side: (L*, L), each still acting on the
+    other through its own operator pair.  For a pair built by ``dual_pair``
+    this is ``dual_pair(dp.dual, dp.algebra)``, without verifying again."""
+    return DualPair(dp.dual, dp.algebra, dp.pair_on_algebra, dp.pair_on_dual, u_r_of(dp.algebra))
+
+
+def _columns(mats: tuple) -> list:
+    """cols[i][k] is column k of mats[i]."""
+    return [[m.column(k) for k in range(m.shape[1])] for m in mats]
+
+
+def _mixed_derivation(dp: DualPair):
+    """Residual at (w, i, j) of the operator pair on L acting by derivations
+    of the bracket of L, up to the mixed and form terms."""
+    n = dp.algebra.dim
+    L, u, r_vec = dp.algebra, dp.u_r, dp.algebra.r
+    pi1, pi2 = dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2
+    basis = [Vector.unit(n, i) for i in range(n)]
+    rho2_col = _columns(dp.pair_on_dual.rho2)  # in L*
+    pi2_col = _columns(pi2)  # in L
+    # acting[j][w] is the pi1 family combined along column w of rho2_j
+    acting = [[combine(pi1, col) for col in cols] for cols in rho2_col]
+
+    def residual(w: int, i: int, j: int) -> Vector:
+        rho2_i_w, rho2_j_w = rho2_col[i][w], rho2_col[j][w]
+        return (
+            pi2[w].apply(L.table[i][j])
+            - L.bracket(pi2_col[w][i], basis[j])
+            - L.bracket(basis[i], pi2_col[w][j])
+            - acting[j][w].column(i)
+            + acting[i][w].column(j)
+            - rho2_i_w[j] * u
+            + rho2_j_w[i] * u
+            - r_vec.dot(pi2_col[w][j]) * basis[i]
+            + r_vec.dot(pi2_col[w][i]) * basis[j]
+            - rho2_i_w.dot(u) * basis[j]
+            + rho2_j_w.dot(u) * basis[i]
+        )
+
+    return residual
+
+
+def _pairing_with_u(dp: DualPair):
+    """Residual at (a, b, k) of the bracket of L* paired with u against the
+    operator pair on L.  It takes k first, as the mirror's form-compatibility
+    loop runs k-major."""
+    u, Ls = dp.u_r, dp.dual
+    pi1_col = _columns(dp.pair_on_algebra.rho1)  # in L
+    pi2_col = _columns(dp.pair_on_algebra.rho2)
+
+    def residual(k: int, a: int, b: int) -> Vector:
+        pi2_b_k, pi2_a_k = pi2_col[b][k], pi2_col[a][k]
+        return (
+            Ls.table[b][a][k] * u
+            - 2 * u[a] * pi2_b_k
+            - 2 * u[b] * pi1_col[a][k]
+            + 2 * u[a] * pi1_col[b][k]
+            + 2 * u[b] * pi2_a_k
+            + pi2_b_k[a] * u
+            - pi2_a_k[b] * u
+        )
+
+    return residual
+
+
 def check_matched_pair(dp: DualPair) -> Report:
     """The four compatibility conditions of the two operator pairs,
-    evaluated on all relevant basis tuples."""
+    evaluated on all relevant basis tuples.
+
+    The conditions are symmetric under swapping L and L*: the last two are
+    the first two evaluated on the mirrored pair.
+    """
     n = dp.algebra.dim
-    L, Ls = dp.algebra, dp.dual
-    rho1, rho2 = dp.pair_on_dual.rho1, dp.pair_on_dual.rho2
-    pi1, pi2 = dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2
-    r_vec, u = L.r, dp.u_r
-    basis = [Vector.unit(n, i) for i in range(n)]
+    mirror = _mirror(dp)
+    pairing = _pairing_with_u(dp)
+    zero = Vector.zero(n)
     report = Report("matched-pair conditions")
-
-    cond1 = report.clause("mixed-derivation-on-algebra")
-    for w in range(n):
-        for i in range(n):
-            for j in range(n):
-                rho2_i_w = rho2[i].column(w)  # in L*
-                rho2_j_w = rho2[j].column(w)
-                pi2_w = pi2[w]
-                res = (
-                    pi2_w.apply(L.table[i][j])
-                    - L.bracket(pi2_w.apply(basis[i]), basis[j])
-                    - L.bracket(basis[i], pi2_w.apply(basis[j]))
-                    - combine(pi1, rho2_j_w).apply(basis[i])
-                    + combine(pi1, rho2_i_w).apply(basis[j])
-                    - rho2_i_w[j] * u
-                    + rho2_j_w[i] * u
-                    - r_vec.dot(pi2_w.apply(basis[j])) * basis[i]
-                    + r_vec.dot(pi2_w.apply(basis[i])) * basis[j]
-                    - rho2_i_w.dot(u) * basis[j]
-                    + rho2_j_w.dot(u) * basis[i]
-                )
-                if not res.is_zero():
-                    cond1.add((w, i, j), res, Vector.zero(n))
-
-    cond2 = report.clause("dual-bracket-pairing-with-u")
-    for a in range(n):
-        for b in range(n):
-            for k in range(n):
-                pi2_b_k = pi2[b].column(k)  # in L
-                pi2_a_k = pi2[a].column(k)
-                res = (
-                    Ls.table[b][a][k] * u
-                    - 2 * u[a] * pi2_b_k
-                    - 2 * u[b] * pi1[a].column(k)
-                    + 2 * u[a] * pi1[b].column(k)
-                    + 2 * u[b] * pi2_a_k
-                    + pi2_b_k[a] * u
-                    - pi2_a_k[b] * u
-                )
-                if not res.is_zero():
-                    cond2.add((a, b, k), res, Vector.zero(n))
-
-    cond3 = report.clause("mixed-derivation-on-dual")
-    dual_basis = basis
-    for k in range(n):
-        for a in range(n):
-            for b in range(n):
-                pi2_a_k = pi2[a].column(k)  # in L
-                pi2_b_k = pi2[b].column(k)
-                rho2_k_a = rho2[k].column(a)  # in L*
-                rho2_k_b = rho2[k].column(b)
-                res = (
-                    rho2[k].apply(Ls.table[a][b])
-                    - Ls.bracket(rho2_k_a, dual_basis[b])
-                    - Ls.bracket(dual_basis[a], rho2_k_b)
-                    - combine(rho1, pi2_b_k).apply(dual_basis[a])
-                    + combine(rho1, pi2_a_k).apply(dual_basis[b])
-                    - pi2_a_k[b] * r_vec
-                    + pi2_b_k[a] * r_vec
-                    - rho2_k_b.dot(u) * dual_basis[a]
-                    + rho2_k_a.dot(u) * dual_basis[b]
-                    - r_vec.dot(pi2_a_k) * dual_basis[b]
-                    + r_vec.dot(pi2_b_k) * dual_basis[a]
-                )
-                if not res.is_zero():
-                    cond3.add((k, a, b), res, Vector.zero(n))
-
-    cond4 = report.clause("form-compatibility")
-    for w in range(n):
-        for i in range(n):
-            for j in range(n):
-                res = (
-                    L.table[j][i][w] * r_vec
-                    - 2 * r_vec[i] * rho2[j].column(w)
-                    - 2 * r_vec[j] * rho1[i].column(w)
-                    + 2 * r_vec[i] * rho1[j].column(w)
-                    + 2 * r_vec[j] * rho2[i].column(w)
-                    + rho2[j].column(w)[i] * r_vec
-                    - rho2[i].column(w)[j] * r_vec
-                )
-                if not res.is_zero():
-                    cond4.add((w, i, j), res, Vector.zero(n))
-
+    for name, residual in (
+        ("mixed-derivation-on-algebra", _mixed_derivation(dp)),
+        ("dual-bracket-pairing-with-u", lambda a, b, k: pairing(k, a, b)),
+        ("mixed-derivation-on-dual", _mixed_derivation(mirror)),
+        ("form-compatibility", _pairing_with_u(mirror)),
+    ):
+        clause = report.clause(name)
+        for index in product(range(n), repeat=3):
+            res = residual(*index)
+            if not res.is_zero():
+                clause.add(index, res, zero)
     return report
 
 
@@ -360,29 +358,31 @@ class CobracketDelta:
         return CobracketDelta(n, tuple(Matrix.zero(n, n) for _ in range(n)))
 
 
+def _form_shift(rho: Vector, i: int, j: int, k: int) -> Fraction:
+    """Form terms of the cobracket: the coefficient delta_ik rho_j -
+    2 delta_jk rho_i that ``cobracket_of_dual`` adds at e_i (x) e_j in the
+    image of e_k, and ``dual_structure_from_r`` takes off again."""
+    return (rho[j] if i == k else 0) - (2 * rho[i] if j == k else 0)
+
+
+def _cobracket(dual: OmegaLieAlgebra) -> CobracketDelta:
+    """``cobracket_of_dual`` for a multiplicative structure that has been
+    verified already."""
+    n, c, rho = dual.dim, dual.table, dual.r
+    comps = [
+        Matrix([[c[i][j][k] + _form_shift(rho, i, j, k) for j in range(n)] for i in range(n)])
+        for k in range(n)
+    ]
+    return CobracketDelta(n, tuple(comps))
+
+
 def cobracket_of_dual(dual: OmegaLieAlgebra) -> CobracketDelta:
     """Dualize the bracket of the partner structure, with its form shifts."""
     if not dual.is_multiplicative:
         raise ValueError("the dual structure must be multiplicative")
     if not check_omega_lie(dual).passed:
         raise AxiomViolation("dual structure fails its axioms")
-    n = dual.dim
-    rho = dual.r  # coefficients of the dual linear form
-    comps = []
-    for k in range(n):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = dual.table[i][j][k]
-                if i == k:
-                    val += rho[j]
-                if j == k:
-                    val -= 2 * rho[i]
-                row.append(val)
-            rows.append(row)
-        comps.append(Matrix(rows))
-    return CobracketDelta(n, tuple(comps))
+    return _cobracket(dual)
 
 
 def check_mult_bialgebra(dp: DualPair) -> Report:
@@ -396,21 +396,20 @@ def check_mult_bialgebra(dp: DualPair) -> Report:
     equivalent to the matched-pair and triple checkers.
 
     Supported operator binding: both pairs must be the duals of the two
-    adjoint pairs (the standard coadjoint-style action).
+    adjoint pairs (the standard coadjoint-style action).  Like every checker
+    that takes a pair, this one assumes ``dual_pair`` verified both algebras.
     """
     if not uses_standard_pairs(dp):
         raise ValueError("only the standard coadjoint-style operator binding is supported")
     report = _check_bialgebra_side(dp, prefix="")
-    # for standard pairs this is dual_pair(dp.dual, dp.algebra), without re-verifying
-    mirror = DualPair(dp.dual, dp.algebra, dp.pair_on_algebra, dp.pair_on_dual, u_r_of(dp.algebra))
-    report.extend(_check_bialgebra_side(mirror, prefix="mirror-"), "")
+    report.extend(_check_bialgebra_side(_mirror(dp), prefix="mirror-"), "")
     return report
 
 
 def _check_bialgebra_side(dp: DualPair, prefix: str) -> Report:
     n = dp.algebra.dim
     L = dp.algebra
-    delta = cobracket_of_dual(dp.dual)
+    delta = _cobracket(dp.dual)
     ad2 = adjoint_pair(L).rho2
     pi1, pi2 = dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2
     r, u = L.r, dp.u_r

@@ -157,6 +157,15 @@ def parse_omega_lie(doc: dict) -> OmegaLieAlgebra:
     return OmegaLieAlgebra(n, table, r=r_vec, label=label)
 
 
+def parse_multiplicative(doc: dict, what: str) -> OmegaLieAlgebra:
+    """An omega_lie block that gives r, for the constructions that need the
+    multiplicative flavor."""
+    algebra = parse_omega_lie(doc)
+    if not algebra.is_multiplicative:
+        _fail(f"{what} must give r, not omega")
+    return algebra
+
+
 def omega_lie_doc(alg: OmegaLieAlgebra, basis: Optional[list] = None) -> dict:
     doc = {
         "kind": "omega_lie",
@@ -266,7 +275,7 @@ def representation_doc(rep: Representation, basis: Optional[list] = None) -> dic
 
 def parse_gen_rep_pair(doc: dict, algebra: Optional[OmegaLieAlgebra] = None) -> GenRepPair:
     if "algebra" in doc:
-        algebra = parse_omega_lie(_require(doc, "algebra"))
+        algebra = parse_multiplicative(_require(doc, "algebra"), "gen_rep_pair algebra")
     if algebra is None:
         _fail("pair bundle needs an algebra block")
     m = _parse_dim(doc, "carrier_dim")
@@ -303,7 +312,9 @@ class TwoTensorBundle:
 def parse_two_tensor(doc: dict) -> TwoTensorBundle:
     n = _parse_dim(doc)
     entries = _parse_matrix(_require(doc, "entries"), n, n, "entries")
-    algebra = parse_omega_lie(doc["algebra"]) if "algebra" in doc else None
+    algebra = None
+    if "algebra" in doc:
+        algebra = parse_multiplicative(doc["algebra"], "two_tensor algebra")
     u_r = None
     if "u_r" in doc:
         u_r = _parse_vector(doc["u_r"], n, "u_r")
@@ -338,9 +349,7 @@ def parse_three_tensor(doc: dict) -> ThreeTensor:
     entries = _require(doc, "entries")
     if not isinstance(entries, list) or len(entries) != n:
         _fail("entries must be a dim^3 array")
-    return ThreeTensor(
-        [[[_parse_rat(e) for e in row] for row in plane] for plane in entries]
-    )
+    return ThreeTensor([_parse_matrix(plane, n, n, "each entries plane").rows for plane in entries])
 
 
 def cobracket_doc(delta: CobracketDelta, basis: Optional[list] = None) -> dict:
@@ -368,7 +377,7 @@ class OOperatorBundle:
 
 
 def parse_o_operator(doc: dict) -> OOperatorBundle:
-    algebra = parse_omega_lie(_require(doc, "algebra"))
+    algebra = parse_multiplicative(_require(doc, "algebra"), "o_operator algebra")
     rep_doc = _require(doc, "rep")
     rep_kind = _require(rep_doc, "kind")
     if rep_kind == "representation":
@@ -399,10 +408,8 @@ def o_operator_doc(algebra: OmegaLieAlgebra, rep, t: Matrix) -> dict:
 
 
 def parse_dual_pair(doc: dict) -> DualPair:
-    algebra = parse_omega_lie(_require(doc, "algebra"))
-    dual = parse_omega_lie(_require(doc, "dual"))
-    if not (algebra.is_multiplicative and dual.is_multiplicative):
-        _fail("dual_pair algebra and dual must both give r, not omega")
+    algebra = parse_multiplicative(_require(doc, "algebra"), "dual_pair algebra")
+    dual = parse_multiplicative(_require(doc, "dual"), "dual_pair dual")
     return dual_pair(algebra, dual)
 
 
@@ -424,7 +431,7 @@ class SolveRequest:
 def parse_solve_request(doc: dict) -> SolveRequest:
     from .solver import SolveOptions  # numpy: only commands that search load it
 
-    algebra = parse_omega_lie(_require(doc, "algebra"))
+    algebra = parse_multiplicative(_require(doc, "algebra"), "solve_request algebra")
     n = algebra.dim
     u_r = _parse_vector(doc["u_r"], n, "u_r") if "u_r" in doc else Vector.zero(n)
     return SolveRequest(algebra, u_r, solve_options(doc.get("options", {}), SolveOptions()))

@@ -274,7 +274,7 @@ def cmd_construct(args, config: ToolkitConfig) -> int:
 
 
 def cmd_yb(args, config: ToolkitConfig) -> int:
-    alg = bundles.parse_omega_lie(bundles.load_path(args.algebra))
+    alg = bundles.parse_multiplicative(bundles.load_path(args.algebra), "--algebra")
     bundle = bundles.parse_two_tensor(bundles.load_path(args.r_tensor))
     tensor = bundle.tensor
     u_r = bundle.u_r if bundle.u_r is not None else None

@@ -26,9 +26,9 @@ from .representations import (
     GenRepPair,
     Representation,
     check_gen_rep,
+    _semidirect_rep,
     check_representation,
     dual_representation,
-    semidirect_rep,
 )
 from .yang_baxter import TwoTensor
 
@@ -144,7 +144,7 @@ def genrep_from_lsa(lsa: LeftSymmetricAlgebra) -> GenRepPair:
     result = check_gen_rep(pair)
     if not result.passed:
         raise AxiomViolation(f"induced pair fails the first-kind identity: {result!r}")
-    ident = check_o_operator_gen(sub, pair, Matrix.identity(n))
+    ident = _check_transport(sub, pair.rho1, n, Matrix.identity(n), "operator-identity-gen")
     if not ident.passed:
         raise AxiomViolation(f"identity map fails the transport identity: {ident!r}")
     return pair
@@ -211,7 +211,7 @@ def rep_from_lsa(algebra: OmegaLieAlgebra, lsa: LeftSymmetricAlgebra) -> Represe
     result = check_representation(rep)
     if not result.passed:
         raise AxiomViolation(f"shifted left multiplication fails the identity: {result!r}")
-    ident = check_o_operator(algebra, rep, Matrix.identity(n))
+    ident = _check_transport(algebra, rep.rho, n, Matrix.identity(n), "operator-identity")
     if not ident.passed:
         raise AxiomViolation(f"identity map fails the transport identity: {ident!r}")
     return rep
@@ -229,7 +229,7 @@ def lift_o_operator(
     """
     _operator_shapes(algebra, rep.carrier_dim, t)
     dual = dual_representation(rep)
-    ambient = semidirect_rep(dual, label=f"lift({algebra.label or 'L'})")
+    ambient = _semidirect_rep(dual, label=f"lift({algebra.label or 'L'})")
     n, m = algebra.dim, rep.carrier_dim
     total = n + m
     rows = [[Fraction(0)] * total for _ in range(total)]

@@ -83,12 +83,6 @@ class GenRepPair:
         if self.kind is GenRepKind.ASSOCIATED_GEN_II and self.carrier_dim != self.algebra.dim:
             raise DimensionMismatch("the associated kind lives on the dual of the algebra")
 
-    def rho1_of(self, x: Vector) -> Matrix:
-        return combine(self.rho1, x)
-
-    def rho2_of(self, x: Vector) -> Matrix:
-        return combine(self.rho2, x)
-
 
 @dataclass(frozen=True)
 class SpecialRepII:
@@ -273,6 +267,12 @@ def semidirect_rep(rep: Representation, label: str = "") -> OmegaLieAlgebra:
     """
     if not check_representation(rep).passed:
         raise AxiomViolation("input does not satisfy the representation identity")
+    return _semidirect_rep(rep, label)
+
+
+def _semidirect_rep(rep: Representation, label: str) -> OmegaLieAlgebra:
+    """``semidirect_rep`` for a representation verified already; the axioms
+    of the product are still checked."""
     alg = rep.algebra
     if not alg.is_multiplicative:
         raise AxiomViolation("semidirect product needs the multiplicative flavor")

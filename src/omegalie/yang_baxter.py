@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import OmegaLieAlgebra, admissible_subspace, central_elements
-from .bialgebra import CobracketDelta
+from .bialgebra import CobracketDelta, _form_shift
 from .errors import DimensionMismatch, EmptyDecomposition
 from .linalg import (
     Matrix,
@@ -339,18 +339,11 @@ def dual_structure_from_r(ctx: YbeContext, tensor: TwoTensor) -> OmegaLieAlgebra
         raise DimensionMismatch("tensor and algebra dimensions differ")
     delta = delta_from_r(ctx, tensor)
     u = ctx.u_r
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            coeffs = []
-            for m in range(n):
-                val = delta.component[m][i, j]
-                if i == m:
-                    val -= u[j]
-                if j == m:
-                    val += 2 * u[i]
-                coeffs.append(val)
-            table[i][j] = Vector(coeffs)
+    comps = delta.component
+    table = [
+        [Vector(comps[m][i, j] - _form_shift(u, i, j, m) for m in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
     label_core = ctx.algebra.label or "L"
     return OmegaLieAlgebra(n, table, r=u, label=f"dual-of({label_core})")
 
@@ -427,9 +420,6 @@ def check_yb_bialgebra(ctx: YbeContext, tensor: TwoTensor) -> Report:
     return report
 
 
-_UNIT = None  # sentinel slot value for the formal unit
-
-
 @dataclass(frozen=True)
 class SymbolicTerm:
     """One summand of the literal tensor-form expansion: a coefficient and
@@ -437,9 +427,6 @@ class SymbolicTerm:
 
     coefficient: Fraction
     slots: tuple
-
-    def has_unit(self) -> bool:
-        return any(s is None for s in self.slots)
 
 
 def tensor_form_residual(

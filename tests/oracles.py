@@ -391,3 +391,98 @@ def rho2_from_rho1_sides(r, rho1, rho2):
             if lhs != rhs:
                 out[(i, k)] = (lhs, rhs)
     return out
+
+
+def matched_pair_residuals(c, cs, r, u, rho1, rho2, pi1, pi2):
+    """Nonzero residuals of the four matched-pair conditions, per clause in
+    loop order, as lists of (indices, residual).  c, r are the algebra's
+    table and form, cs, u the dual's; rho1, rho2 act on the dual and pi1, pi2
+    on the algebra, one raw matrix per basis element.  Each condition is
+    written out in full; the package evaluates the last two as the first two
+    on the swapped pair."""
+    n = len(c)
+    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
+    col = lambda mat, k: [mat[p][k] for p in range(n)]
+    apply = lambda mat, v: [sum((mat[p][q] * v[q] for q in range(n)), Fraction(0)) for p in range(n)]
+    dot = lambda x, y: sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+    def along(fam, coeffs, t):
+        """Column t of sum_s coeffs[s] fam[s]."""
+        return [sum((coeffs[s] * fam[s][p][t] for s in range(n)), Fraction(0)) for p in range(n)]
+
+    def total(*terms):
+        """Sum of (scalar, vector) terms."""
+        return [sum((s * v[p] for s, v in terms), Fraction(0)) for p in range(n)]
+
+    out = {name: [] for name in (
+        "mixed-derivation-on-algebra",
+        "dual-bracket-pairing-with-u",
+        "mixed-derivation-on-dual",
+        "form-compatibility",
+    )}
+    cube = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    for w, i, j in cube:
+        ei, ej = unit(i), unit(j)
+        rho2_i_w, rho2_j_w = col(rho2[i], w), col(rho2[j], w)
+        pi2_w_i, pi2_w_j = col(pi2[w], i), col(pi2[w], j)
+        res = total(
+            (1, apply(pi2[w], c[i][j])),
+            (-1, bracket_vec(c, pi2_w_i, ej)),
+            (-1, bracket_vec(c, ei, pi2_w_j)),
+            (-1, along(pi1, rho2_j_w, i)),
+            (1, along(pi1, rho2_i_w, j)),
+            (-rho2_i_w[j], u),
+            (rho2_j_w[i], u),
+            (-dot(r, pi2_w_j), ei),
+            (dot(r, pi2_w_i), ej),
+            (-dot(rho2_i_w, u), ej),
+            (dot(rho2_j_w, u), ei),
+        )
+        if any(res):
+            out["mixed-derivation-on-algebra"].append(((w, i, j), res))
+    for a, b, k in cube:
+        pi2_b_k, pi2_a_k = col(pi2[b], k), col(pi2[a], k)
+        res = total(
+            (cs[b][a][k], u),
+            (-2 * u[a], pi2_b_k),
+            (-2 * u[b], col(pi1[a], k)),
+            (2 * u[a], col(pi1[b], k)),
+            (2 * u[b], pi2_a_k),
+            (pi2_b_k[a], u),
+            (-pi2_a_k[b], u),
+        )
+        if any(res):
+            out["dual-bracket-pairing-with-u"].append(((a, b, k), res))
+    for k, a, b in cube:
+        ea, eb = unit(a), unit(b)
+        pi2_a_k, pi2_b_k = col(pi2[a], k), col(pi2[b], k)
+        rho2_k_a, rho2_k_b = col(rho2[k], a), col(rho2[k], b)
+        res = total(
+            (1, apply(rho2[k], cs[a][b])),
+            (-1, bracket_vec(cs, rho2_k_a, eb)),
+            (-1, bracket_vec(cs, ea, rho2_k_b)),
+            (-1, along(rho1, pi2_b_k, a)),
+            (1, along(rho1, pi2_a_k, b)),
+            (-pi2_a_k[b], r),
+            (pi2_b_k[a], r),
+            (-dot(rho2_k_b, u), ea),
+            (dot(rho2_k_a, u), eb),
+            (-dot(r, pi2_a_k), eb),
+            (dot(r, pi2_b_k), ea),
+        )
+        if any(res):
+            out["mixed-derivation-on-dual"].append(((k, a, b), res))
+    for w, i, j in cube:
+        rho2_i_w, rho2_j_w = col(rho2[i], w), col(rho2[j], w)
+        res = total(
+            (c[j][i][w], r),
+            (-2 * r[i], rho2_j_w),
+            (-2 * r[j], col(rho1[i], w)),
+            (2 * r[i], col(rho1[j], w)),
+            (2 * r[j], rho2_i_w),
+            (rho2_j_w[i], r),
+            (-rho2_i_w[j], r),
+        )
+        if any(res):
+            out["form-compatibility"].append(((w, i, j), res))
+    return out

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -21,6 +22,7 @@ from omegalie.bialgebra import (
 )
 from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, Subspace, Vector
+from omegalie.representations import GenRepKind, GenRepPair
 
 from conftest import (
     antisymmetrize,
@@ -28,9 +30,10 @@ from conftest import (
     rational_entry,
     rational_matrix,
     rational_raw_tensor,
+    raw_table,
     vectors_from_raw,
 )
-from oracles import invariant_form_sides
+from oracles import invariant_form_sides, matched_pair_residuals
 
 
 def classical_pair():
@@ -89,6 +92,66 @@ def test_matched_pair_abelian_passes():
 def test_matched_pair_verdict_tracks_double():
     dp = dual_pair(make_b2(), omega_lie(2, {(0, 1): [1, 0]}, r=[0, 0]))
     assert check_matched_pair(dp).passed == check_omega_lie(double_bracket(dp)).passed
+
+
+def _raw_family(mats):
+    return [[list(row) for row in m.rows] for m in mats]
+
+
+def _assert_matched_pair_matches_oracle(dp):
+    expected = matched_pair_residuals(
+        raw_table(dp.algebra),
+        raw_table(dp.dual),
+        list(dp.algebra.r),
+        list(dp.u_r),
+        _raw_family(dp.pair_on_dual.rho1),
+        _raw_family(dp.pair_on_dual.rho2),
+        _raw_family(dp.pair_on_algebra.rho1),
+        _raw_family(dp.pair_on_algebra.rho2),
+    )
+    report = check_matched_pair(dp)
+    assert [c.name for c in report.clauses] == list(expected)
+    zero = repr(Vector.zero(dp.algebra.dim))
+    for clause in report.clauses:
+        assert [(v.indices, v.lhs, v.rhs) for v in clause.violations] == [
+            (indices, repr(Vector(res)), zero) for indices, res in expected[clause.name]
+        ]
+    return report.passed
+
+
+def test_matched_pair_matches_oracle():
+    """Clause by clause, the violation indices in order and the residuals
+    are those of an oracle that writes all four conditions out in full: on
+    the dim-2 bridge grid, and on hand-built pairs with random families."""
+    failing = 0
+    for a, b in product((-1, 0, 1), repeat=2):
+        for r in ((0, 0), (1, 0)):
+            lhs = omega_lie(2, {(0, 1): [a, b]}, r=list(r))
+            for al, be in product((-1, 0, 1), repeat=2):
+                for rs in ((0, 0), (0, 1)):
+                    rhs = omega_lie(2, {(0, 1): [al, be]}, r=list(rs))
+                    failing += not _assert_matched_pair_matches_oracle(dual_pair(lhs, rhs))
+    assert failing > 0
+
+    rng = random.Random(3838)
+    for trial in range(60):
+        n = rng.randint(1, 3)
+        den = rng.randint(2, 12)
+
+        def algebra():
+            raw = rational_raw_tensor(rng, n, den)
+            if trial % 2:
+                raw = antisymmetrize(raw)
+            r = Vector([rational_entry(rng, den) for _ in range(n)])
+            return OmegaLieAlgebra(n, vectors_from_raw(raw), r=r)
+
+        def family():
+            return tuple(Matrix(rational_matrix(rng, n, den)) for _ in range(n))
+
+        L, Ls = algebra(), algebra()
+        on_dual = GenRepPair(L, n, family(), family(), GenRepKind.GEN_I)
+        on_algebra = GenRepPair(Ls, n, family(), family(), GenRepKind.GEN_I)
+        _assert_matched_pair_matches_oracle(DualPair(L, Ls, on_dual, on_algebra, Ls.r))
 
 
 def test_standard_form_dim1():
@@ -226,6 +289,21 @@ def test_bialgebra_rejects_nonstandard_pairs(change):
     assert check_mult_bialgebra(dp).passed
     with pytest.raises(ValueError, match="standard"):
         check_mult_bialgebra(DualPair(dp.algebra, dp.dual, on_dual, on_algebra, dp.u_r))
+
+
+def test_crosscheck_verifies_each_algebra_once(monkeypatch):
+    """``dual_pair`` verified both sides, so of the three routes only the
+    triple's check of the double runs the axiom checker."""
+    import omegalie.bialgebra as bialgebra
+
+    dp = dual_pair(make_b2(), abelian(2))
+    checked = []
+    real = bialgebra.check_omega_lie
+    monkeypatch.setattr(
+        bialgebra, "check_omega_lie", lambda alg: checked.append(alg.dim) or real(alg)
+    )
+    assert crosscheck_equivalence(dp).passed
+    assert checked == [4]
 
 
 def test_crosscheck_classical_and_abelian():

@@ -251,6 +251,7 @@ _LINE_PAIR = {
 _SOLVE = _fixture_doc("solve_b2")
 _DUAL = _fixture_doc("dual_pair_classical")
 _GOOD_T = _fixture_doc("good_t")
+_WEDGE_CTX = _fixture_doc("wedge_ctx")
 
 # (command, bundle document, config document or None)
 HOSTILE_INPUTS = {
@@ -292,6 +293,32 @@ HOSTILE_INPUTS = {
     "carrier-dim-above-cap-representation": (
         "check",
         _with(_LINE_REP, carrier_dim=17, rho={"e1": [["0"] * 17] * 17}),
+        None,
+    ),
+    "o-operator-omega-flavor": (
+        "check",
+        _with(_GOOD_T, algebra=_omega_flavor(_GOOD_T["algebra"])),
+        None,
+    ),
+    "gen-rep-pair-omega-flavor": ("check", _with(_LINE_PAIR, algebra=_omega_flavor(_LINE)), None),
+    "two-tensor-omega-flavor": (
+        "check",
+        _with(_WEDGE_CTX, algebra=_omega_flavor(_WEDGE_CTX["algebra"])),
+        None,
+    ),
+    "solve-request-omega-flavor": (
+        "check",
+        _with(_SOLVE, algebra=_omega_flavor(_SOLVE["algebra"])),
+        None,
+    ),
+    "three-tensor-plane-not-list": (
+        "check",
+        {"kind": "three_tensor", "dim": 1, "entries": [5]},
+        None,
+    ),
+    "three-tensor-ragged-plane": (
+        "check",
+        {"kind": "three_tensor", "dim": 2, "entries": [[["0", "0"], ["0"]], [["0"] * 2] * 2]},
         None,
     ),
 }
@@ -396,6 +423,17 @@ def test_cli_yb_residual_zero_tensor(capsys):
     assert doc["kind"] == "three_tensor"
     flat = [e for plane in doc["entries"] for row in plane for e in row]
     assert set(flat) == {"0"}
+
+
+def test_cli_yb_omega_flavor_algebra_exit_2(tmp_path, capsys):
+    # the residual machinery needs r; an omega-flavor algebra is unusable input
+    path = tmp_path / "b2_omega.json"
+    path.write_text(json.dumps(_omega_flavor(_fixture_doc("b2"))))
+    code = run(["yb", "residual", "--algebra", str(path), "--r-tensor", fixture_path("wedge")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error: ") for line in captured.err.splitlines())
 
 
 def test_cli_yb_admissible_and_bialgebra(capsys):

@@ -164,6 +164,28 @@ def test_rep_from_lsa_values():
     assert check_o_operator(alg_nc2, rep_nc2, Matrix.identity(2)).passed
 
 
+def test_lift_checks_each_representation_once(monkeypatch):
+    """The lift checks the input and its dual once each; the semidirect
+    product takes the dual as verified and checks only its own axioms."""
+    import omegalie.operators as operators
+    import omegalie.representations as representations
+    from omegalie import bundles
+
+    from conftest import FIXTURES
+
+    ob = bundles.parse_o_operator(bundles.load_path(str(FIXTURES / "good_t.json")))
+    calls = []
+
+    def counted(rep):
+        calls.append(rep.carrier_dim)
+        return check_representation(rep)
+
+    for module in (operators, representations):
+        monkeypatch.setattr(module, "check_representation", counted)
+    lift_o_operator(ob.algebra, ob.rep, ob.t)
+    assert len(calls) == 2
+
+
 def test_lift_e1_fixture():
     algebra, rep = e1_pipeline()
     ambient, tensor = lift_o_operator(algebra, rep, Matrix.identity(1))
