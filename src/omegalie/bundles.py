@@ -30,6 +30,11 @@ if TYPE_CHECKING:
 # (8), so doubles and lifts of such inputs still load.
 MAX_DIM = 16
 
+# Largest number of solver restarts a request or config may ask for.  The
+# solver draws every start point up front, restarts x P floats with P up to
+# 120 at MAX_DIM, so 4096 restarts (128 times the default) stay under 4 MB.
+MAX_RESTARTS = 4096
+
 
 def _fail(msg: str) -> None:
     raise BundleFormatError(msg)
@@ -451,10 +456,14 @@ def solve_options(opts, base: SolveOptions) -> SolveOptions:
         value = opts[key]
         if key in ("restarts", "max_denominator") and (not _is_int(value) or value < 1):
             _fail(f"{key} must be an integer >= 1, not {value!r}")
+        if key == "restarts" and value > MAX_RESTARTS:
+            _fail(f"restarts must be at most {MAX_RESTARTS}, not {value!r}")
         try:
             changes[key] = type(getattr(base, key))(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise BundleFormatError(f"bad solver options: {exc}") from None
+        if key == "seed" and changes[key] < 0:
+            _fail(f"seed must be a non-negative integer, not {value!r}")
     return replace(base, **changes)
 
 
@@ -472,6 +481,14 @@ def solve_request_doc(req: SolveRequest) -> dict:
             "max_denominator": req.options.max_denominator,
         },
     }
+
+
+def require_kind(doc: dict, kind: str) -> dict:
+    """``doc`` itself, if its kind field is ``kind``."""
+    found = _require(doc, "kind")
+    if found != kind:
+        _fail(f"expected a document of kind {kind!r}, not {found!r}")
+    return doc
 
 
 def parse_any(doc: dict):

@@ -337,7 +337,8 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
 def cmd_solve(args, config: ToolkitConfig, deterministic: bool) -> int:
     from .solver import build_problem, minimize, rationalize_verify
 
-    req = bundles.parse_solve_request(bundles.load_path(args.infile))
+    doc = bundles.require_kind(bundles.load_path(args.infile), "solve_request")
+    req = bundles.parse_solve_request(doc)
     options = bundles.solve_options(config.solver or {}, req.options)
     if deterministic:
         options = replace(options, seed=1)

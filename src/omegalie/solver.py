@@ -7,6 +7,21 @@ and the objective is a plain quartic least-squares problem in the span
 coordinates.  A float result never certifies anything: a candidate counts
 as a solution only after its rationalization re-verifies to an identically
 zero residual in the exact kernel.
+
+The objective is a few matrix products.  The bilinear part of the residual
+pairs the slots of two 2-tensors x, y through the structure constants c in
+three ways.  For skew x and y, all three are signed placements of one core
+
+    K(x, y)[i,j,p] = sum_ab x[i,a] y[b,j] c[a,b,p],
+
+and the bilinear part at [i,j,k] is K[i,k,j] - K[i,j,k] - K[j,k,i]: the
+first and third blocks contract a transposed x or y, which for a skew
+tensor only flips a sign.  So the objective is valid only on skew
+tensors, which every point of the search space is.  K(r, r) is two
+matrix products.  The Jacobian column of the basis tensor B_s is the
+placed K(B_s, r) + K(r, B_s), which for all P columns at once is two
+(P*n x n) @ (n x n^2) products, plus the linear part of B_s, tabulated
+once per problem as a (P, n, n, n) array.
 """
 
 from __future__ import annotations
@@ -55,7 +70,7 @@ class SolveProblem:
     basis: tuple
     structure: np.ndarray
     basis_float: np.ndarray
-    u_float: np.ndarray
+    linear_basis: np.ndarray
 
     @property
     def parameter_dim(self) -> int:
@@ -83,30 +98,29 @@ def build_problem(
         for i in range(n):
             for j in range(n):
                 basis_float[t, i, j] = float(tensor.entries[i, j])
-    u_float = np.array([float(c) for c in u_r])
-    return SolveProblem(algebra, u_r, options, basis, structure, basis_float, u_float)
-
-
-def _tensor_bilinear(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear part of the residual: the three slot-pairing bracket blocks."""
-    return (
-        np.einsum("ai,bj,abp->pij", x, y, c)
-        + np.einsum("ia,bj,abp->ipj", x, y, c)
-        + np.einsum("ia,jb,abp->ijp", x, y, c)
-    )
+    linear_basis = _tensor_linear(np.array([float(c) for c in u_r]), basis_float)
+    return SolveProblem(algebra, u_r, options, basis, structure, basis_float, linear_basis)
 
 
 def _tensor_linear(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear part: the three placements of the distinguished element."""
+    """Linear part: the three placements of the distinguished element, for
+    one tensor or a stack of them along the leading axis."""
     return 3.0 * (
-        np.einsum("ji,k->ijk", x, u)
-        + np.einsum("ik,j->ijk", x, u)
-        + np.einsum("kj,i->ijk", x, u)
+        np.einsum("...ji,k->...ijk", x, u)
+        + np.einsum("...ik,j->...ijk", x, u)
+        + np.einsum("...kj,i->...ijk", x, u)
     )
 
 
+def _place(core: np.ndarray) -> np.ndarray:
+    """Bilinear part of the residual from its core K (the last three axes):
+    K[i,k,j] - K[i,j,k] - K[j,k,i] at [i,j,k]."""
+    return core.swapaxes(-1, -2) - core - core.swapaxes(-1, -3).swapaxes(-1, -2)
+
+
 def _coords_to_tensor(problem: SolveProblem, coords: np.ndarray) -> np.ndarray:
-    return np.tensordot(coords, problem.basis_float, axes=1)
+    k, n, _ = problem.basis_float.shape
+    return (coords @ problem.basis_float.reshape(k, n * n)).reshape(n, n)
 
 
 def residual_tensor(problem: SolveProblem, coords: np.ndarray) -> np.ndarray:
@@ -114,7 +128,11 @@ def residual_tensor(problem: SolveProblem, coords: np.ndarray) -> np.ndarray:
     if coords.shape != (problem.parameter_dim,):
         raise DimensionMismatch("coordinate vector has the wrong length")
     r = _coords_to_tensor(problem, coords)
-    return _tensor_bilinear(problem.structure, r, r) + _tensor_linear(problem.u_float, r)
+    n = len(r)
+    # K(r, r)[i,j,p] = sum_a r[i,a] (r^T c[a])[j,p]
+    core = (r @ (r.T @ problem.structure).reshape(n, n * n)).reshape(n, n, n)
+    linear = coords @ problem.linear_basis.reshape(len(coords), n**3)
+    return _place(core) + linear.reshape(n, n, n)
 
 
 def residual_norm_sq(problem: SolveProblem, coords: np.ndarray) -> float:
@@ -123,16 +141,23 @@ def residual_norm_sq(problem: SolveProblem, coords: np.ndarray) -> float:
 
 
 def residual_jacobian(problem: SolveProblem, coords: np.ndarray) -> np.ndarray:
-    """Jacobian of the flattened residual tensor with respect to coords."""
+    """Jacobian of the flattened residual tensor with respect to coords.
+
+    Column s is the derivative along the basis tensor B_s: the placed core
+    K(B_s, r) + K(r, B_s) plus the linear part of B_s, all columns at once.
+    """
     coords = np.asarray(coords, dtype=float)
     r = _coords_to_tensor(problem, coords)
-    c, u = problem.structure, problem.u_float
-    cols = []
-    for t in range(problem.parameter_dim):
-        b = problem.basis_float[t]
-        d = _tensor_bilinear(c, b, r) + _tensor_bilinear(c, r, b) + _tensor_linear(u, b)
-        cols.append(d.ravel())
-    return np.array(cols).T if cols else np.zeros((problem.structure.size, 0))
+    c, stack = problem.structure, problem.basis_float
+    k, n = stack.shape[0], len(r)
+    rows = stack.reshape(k * n, n)
+    # K(B_s, r)[i,j,p] = sum_a B_s[i,a] (r^T c[a])[j,p]
+    left = (rows @ (r.T @ c).reshape(n, n * n)).reshape(k, n, n, n)
+    # K(r, B_s)[i,j,p] = sum_b B_s[b,j] (r c)[i,b,p] = -sum_b B_s[j,b] (r c)[i,b,p]
+    rc = (r @ c.reshape(n, n * n)).reshape(n, n, n)
+    right = (rows @ rc.swapaxes(0, 1).reshape(n, n * n)).reshape(k, n, n, n)
+    core = left - right.swapaxes(1, 2)
+    return (_place(core) + problem.linear_basis).reshape(k, n**3).T
 
 
 def residual_gradient(problem: SolveProblem, coords: np.ndarray) -> np.ndarray:
@@ -176,28 +201,27 @@ def _single_start(problem: SolveProblem, x0: np.ndarray) -> tuple[np.ndarray, fl
         except np.linalg.LinAlgError:
             step = -grad
 
-        def try_step(direction: np.ndarray) -> tuple[float, np.ndarray, float]:
+        def try_step(direction: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
             alpha = 1.0
             while alpha > 1e-14:
                 cand = x + alpha * direction
                 fc = residual_tensor(problem, cand).ravel()
                 cc = float(fc @ fc)
                 if cc < cost:
-                    return cc, cand, alpha
+                    return cc, cand, fc, alpha
                 alpha *= 0.5
-            return cost, x, 0.0
+            return cost, x, fvec, 0.0
 
-        new_cost, new_x, alpha = try_step(step)
+        new_cost, new_x, new_fvec, alpha = try_step(step)
         if alpha == 0.0:
-            new_cost, new_x, alpha = try_step(-grad)
+            new_cost, new_x, new_fvec, alpha = try_step(-grad)
             if alpha == 0.0:
                 break
             damping = min(damping * 10.0, 1e6)
         else:
             damping = max(damping / 3.0, 1e-12)
         moved = float(np.linalg.norm(new_x - x))
-        x, cost = new_x, new_cost
-        fvec = residual_tensor(problem, x).ravel()
+        x, cost, fvec = new_x, new_cost, new_fvec
         trace.append(float(np.sqrt(cost)))
         if moved < opts.step_tolerance:
             break

@@ -262,6 +262,8 @@ HOSTILE_INPUTS = {
     "restarts-bool": ("solve", _with(_SOLVE, options={"restarts": True}), None),
     "max-denominator-zero": ("solve", _with(_SOLVE, options={"max_denominator": 0}), None),
     "config-restarts-not-int": ("solve", _SOLVE, {"solver": {"restarts": "abc"}}),
+    "seed-negative": ("solve", _with(_SOLVE, options={"seed": -1}), None),
+    "restarts-above-cap": ("solve", _with(_SOLVE, options={"restarts": 10**13}), None),
     "dual-pair-omega-flavor": (
         "check",
         _with(_DUAL, algebra=_omega_flavor(_DUAL["algebra"])),
@@ -339,6 +341,24 @@ def test_cli_hostile_input_exit_2(case, tmp_path, capsys):
     assert captured.out == ""
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
+
+
+# (fixture, command) pairs where the command is fed a document of a kind it
+# does not read, with the kind it does read
+WRONG_KIND = {
+    ("bad_t", "solve"): "solve_request",
+    ("dual_pair_classical", "solve"): "solve_request",
+    ("wedge_ctx", "solve"): "solve_request",
+}
+
+
+@pytest.mark.parametrize("fixture, command", sorted(WRONG_KIND))
+def test_cli_wrong_kind_exit_2(fixture, command, capsys):
+    assert run([command, "--in", fixture_path(fixture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert errors and WRONG_KIND[fixture, command] in errors[0]
 
 
 # Replacement values for the exit-code fuzzer: wrong types, empty blocks,

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from omegalie.algebras import abelian
+from omegalie.algebras import abelian, omega_lie
 from omegalie.errors import EmptyParameterSpace
 from omegalie.linalg import Vector
 from omegalie.solver import (
@@ -10,12 +12,38 @@ from omegalie.solver import (
     minimize,
     rationalize_verify,
     residual_gradient,
+    residual_jacobian,
     residual_norm_sq,
+    residual_tensor,
     skew_parameter_basis,
 )
-from omegalie.yang_baxter import YbeContext, yb_residual
+from omegalie.yang_baxter import TwoTensor, YbeContext, yb_residual
 
-from conftest import make_ax2, make_b2, make_b2_plus_line
+from conftest import make_ax2, make_b2, make_b2_plus_line, make_heisenberg
+
+
+def _direct_sum(*parts):
+    """Block-diagonal bracket of the parts, with r = 0."""
+    n = sum(part.dim for part in parts)
+    entries = {}
+    offset = 0
+    for part in parts:
+        for i in range(part.dim):
+            for j in range(i + 1, part.dim):
+                v = part.table[i][j]
+                if not v.is_zero():
+                    entries[(offset + i, offset + j)] = [0] * offset + list(v) + [0] * (n - offset - part.dim)
+        offset += part.dim
+    return omega_lie(n, entries, r=[0] * n, label="+".join(part.label for part in parts))
+
+
+# the direct sums of the solve benchmark, at n = 4, 5, 6, 6
+DIRECT_SUMS = [
+    (make_b2, make_b2),
+    (make_b2, make_heisenberg),
+    (make_heisenberg, make_heisenberg),
+    (make_b2, make_b2, make_b2),
+]
 
 
 def test_parameter_basis_sizes():
@@ -64,6 +92,29 @@ def test_gradient_matches_central_differences():
         assert np.linalg.norm(g - fd) / denom < 1e-6
 
 
+def test_gradient_matches_central_differences_fifteen_parameters():
+    problem = build_problem(_direct_sum(make_heisenberg(), make_heisenberg()), u_r=Vector([1, 0, -2, 0, 1, 3]))
+    assert problem.parameter_dim == 15
+    rng = np.random.default_rng(43)
+    h = 1e-6
+    for _ in range(10):
+        x = rng.uniform(-1.0, 1.0, problem.parameter_dim)
+        g = residual_gradient(problem, x)
+        fd = np.zeros_like(g)
+        for t in range(len(x)):
+            xp, xm = x.copy(), x.copy()
+            xp[t] += h
+            xm[t] -= h
+            fd[t] = (residual_norm_sq(problem, xp) - residual_norm_sq(problem, xm)) / (2 * h)
+        assert np.linalg.norm(g - fd) / max(np.linalg.norm(g), np.linalg.norm(fd), 1e-8) < 1e-6
+
+
+def test_jacobian_of_empty_parameter_space():
+    problem = build_problem(make_ax2())
+    assert problem.parameter_dim == 0
+    assert residual_jacobian(problem, np.zeros(0)).shape == (8, 0)
+
+
 def test_float_residual_matches_exact_kernel():
     # the einsum objective and the exact residual are independent paths
     from fractions import Fraction
@@ -84,6 +135,25 @@ def test_float_residual_matches_exact_kernel():
         for j in range(3):
             for k in range(3):
                 assert abs(got[i, j, k] - float(expected[i, j, k])) < 1e-12
+
+
+@pytest.mark.parametrize("parts", DIRECT_SUMS, ids=lambda parts: "+".join(make().label for make in parts))
+def test_float_residual_matches_exact_kernel_on_direct_sums(parts):
+    algebra = _direct_sum(*(make() for make in parts))
+    n = algebra.dim
+    problem = build_problem(algebra, u_r=Vector([(-1) ** i * (i + 1) for i in range(n)]))
+    ctx = YbeContext(algebra, problem.u_r)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        coords = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in problem.basis]
+        exact = TwoTensor.zero(n)
+        for q, basis_tensor in zip(coords, problem.basis):
+            exact = exact + basis_tensor.scale(q)
+        expected = yb_residual(ctx, exact)
+        want = np.array([[[float(expected[i, j, k]) for k in range(n)] for j in range(n)] for i in range(n)])
+        got = residual_tensor(problem, np.array([float(c) for c in coords]))
+        assert np.abs(got).max() > 0  # a nonzero residual, so the comparison is not vacuous
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_minimize_b2_converges_seed1():
