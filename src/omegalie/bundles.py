@@ -320,6 +320,8 @@ def parse_two_tensor(doc: dict) -> TwoTensorBundle:
     algebra = None
     if "algebra" in doc:
         algebra = parse_multiplicative(doc["algebra"], "two_tensor algebra")
+        if algebra.dim != n:
+            _fail(f"two_tensor algebra has dim {algebra.dim}, not the tensor's dim {n}")
     u_r = None
     if "u_r" in doc:
         u_r = _parse_vector(doc["u_r"], n, "u_r")
@@ -483,16 +485,10 @@ def solve_request_doc(req: SolveRequest) -> dict:
     }
 
 
-def require_kind(doc: dict, kind: str) -> dict:
-    """``doc`` itself, if its kind field is ``kind``."""
-    found = _require(doc, "kind")
-    if found != kind:
-        _fail(f"expected a document of kind {kind!r}, not {found!r}")
-    return doc
-
-
-def parse_any(doc: dict):
-    """Dispatch a document by its kind field."""
+def parse_any(doc: dict, kinds=None):
+    """Dispatch a document by its kind field: the kind gate.  The caller
+    names the kinds it reads (default: every kind); any other kind is
+    unusable input, and the error names the kinds accepted."""
     kind = _require(doc, "kind")
     if not isinstance(kind, str):
         _fail(f"kind must be a string, not {kind!r}")
@@ -509,8 +505,9 @@ def parse_any(doc: dict):
         "three_tensor": parse_three_tensor,
         "cobracket": parse_cobracket,
     }
-    if kind not in parsers:
-        _fail(f"unknown bundle kind {kind!r}")
+    accepted = tuple(parsers) if kinds is None else kinds
+    if kind not in accepted:
+        _fail(f"expected a document of kind {' or '.join(map(repr, accepted))}, not {kind!r}")
     return kind, parsers[kind](doc)
 
 

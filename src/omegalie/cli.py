@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import __version__, bundles
 from .algebras import (
@@ -61,18 +60,28 @@ from .yang_baxter import (
     yb_residual,
 )
 
-CONSTRUCT_RECIPES = (
-    "dual-rep",
-    "adjoint-pair",
-    "gen-dual",
-    "semidirect",
-    "double",
-    "cobracket",
-    "dual-from-r",
-    "lsa-from-o",
-    "lift-o",
-    "omega-lie-from-lsa",
-)
+# The kind of document each command reads: construct by recipe, verify by
+# theorem, yb by option.  argparse takes its choices from here, and every
+# document the CLI reads passes the kind gate with these kinds (_read).
+KINDS = {
+    "check": ("omega_lie", "generalized", "lsa", "representation", "gen_rep_pair",
+              "o_operator", "two_tensor", "dual_pair", "solve_request"),
+    "construct": {
+        "dual-rep": "representation",
+        "adjoint-pair": "omega_lie",
+        "gen-dual": "gen_rep_pair",
+        "semidirect": "representation",
+        "double": "dual_pair",
+        "cobracket": "omega_lie",
+        "dual-from-r": "two_tensor",
+        "lsa-from-o": "o_operator",
+        "lift-o": "o_operator",
+        "omega-lie-from-lsa": "lsa",
+    },
+    "verify": {"thm-3.8": "dual_pair", "thm-4.4": "two_tensor", "thm-5.18": "o_operator"},
+    "yb": {"--algebra": "omega_lie", "--r-tensor": "two_tensor"},
+    "solve": "solve_request",
+}
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("bundle", help="path to a JSON bundle")
 
     p_con = sub.add_parser("construct", help="build a derived object from a bundle")
-    p_con.add_argument("recipe", choices=CONSTRUCT_RECIPES)
+    p_con.add_argument("recipe", choices=KINDS["construct"])
     p_con.add_argument("--in", dest="infile", required=True, help="input bundle path")
     p_con.add_argument("--c", dest="scale", default=None,
                        help="nonzero scale for omega-lie-from-lsa (default: bundle c field or 1)")
@@ -133,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="distinguished element as comma-separated rationals")
 
     p_ver = sub.add_parser("verify", help="run a cross-check between independent routes")
-    p_ver.add_argument("theorem", choices=("thm-3.8", "thm-4.4", "thm-5.18"))
+    p_ver.add_argument("theorem", choices=KINDS["verify"])
     p_ver.add_argument("--in", dest="infile", required=True)
 
     p_solve = sub.add_parser("solve", help="numerical search for exact skew solutions")
@@ -163,9 +172,29 @@ def _failure_report(title: str, message: str) -> Report:
     return report
 
 
-def _parse_u_r(arg, n: int) -> Vector:
-    if arg is None:
-        return Vector.zero(n)
+def _read(path: str, *kinds: str) -> tuple:
+    """The document at ``path`` and its parsed object, if its kind is one
+    of ``kinds``."""
+    doc = bundles.load_path(path)
+    return doc, bundles.parse_any(doc, kinds)[1]
+
+
+def _rep_operator(ob, what: str) -> tuple:
+    """(algebra, representation, T) of an o_operator bundle whose operator
+    acts through a representation, the only flavor ``what`` reads."""
+    if not isinstance(ob.rep, Representation):
+        raise BundleFormatError(f"{what} needs a representation-flavor operator")
+    return ob.algebra, ob.rep, ob.t
+
+
+def _tensor_context(bundle, what: str) -> YbeContext:
+    """The Yang-Baxter context that a two_tensor bundle carries."""
+    if bundle.algebra is None:
+        raise BundleFormatError(f"{what} needs an algebra block in the tensor bundle")
+    return YbeContext(bundle.algebra, bundle.u_r or Vector.zero(bundle.tensor.dim))
+
+
+def _parse_u_r(arg: str, n: int) -> Vector:
     parts = [p.strip() for p in arg.split(",")]
     if len(parts) != n:
         raise BundleFormatError(f"--u-r needs {n} comma-separated rationals")
@@ -176,8 +205,8 @@ def _parse_u_r(arg, n: int) -> Vector:
 
 
 def cmd_check(args, config: ToolkitConfig) -> int:
-    doc = bundles.load_path(args.bundle)
-    kind, obj = bundles.parse_any(doc)
+    doc, obj = _read(args.bundle, *KINDS["check"])
+    kind = doc["kind"]
     if kind == "omega_lie":
         report = check_omega_lie(obj)
     elif kind == "generalized":
@@ -199,74 +228,53 @@ def cmd_check(args, config: ToolkitConfig) -> int:
         if not obj.tensor.is_skew():
             skew.add((), obj.tensor.entries, (-obj.tensor.entries.transpose()))
         if obj.algebra is not None:
-            ctx = YbeContext(obj.algebra, obj.u_r or Vector.zero(obj.tensor.dim))
+            ctx = _tensor_context(obj, "check")
             report.extend(check_r_admissible(ctx, obj.tensor, config.central_rule), "")
     elif kind == "dual_pair":
         report = check_dual_pair(obj)
-    elif kind == "solve_request":
+    else:  # solve_request
         from .solver import build_problem  # numpy: only commands that search load it
 
         report = Report("solve request")
         report.clause("well-formed")
         problem = build_problem(obj.algebra, obj.u_r, obj.options)
         report.meta["parameter_dim"] = problem.parameter_dim
-    else:
-        raise BundleFormatError(f"no checker for bundle kind {kind!r}")
     return _finish_report(report, config, args.out)
 
 
 def cmd_construct(args, config: ToolkitConfig) -> int:
-    doc = bundles.load_path(args.infile)
     recipe = args.recipe
+    doc, obj = _read(args.infile, KINDS["construct"][recipe])
     try:
         if recipe == "dual-rep":
-            rep = bundles.parse_representation(doc)
-            out = bundles.representation_doc(dual_representation(rep))
+            out = bundles.representation_doc(dual_representation(obj))
         elif recipe == "adjoint-pair":
-            alg = bundles.parse_omega_lie(doc)
-            out = bundles.gen_rep_pair_doc(adjoint_pair(alg))
+            out = bundles.gen_rep_pair_doc(adjoint_pair(obj))
         elif recipe == "gen-dual":
-            pair = bundles.parse_gen_rep_pair(doc)
-            out = bundles.gen_rep_pair_doc(generalized_dual_pair(pair))
+            out = bundles.gen_rep_pair_doc(generalized_dual_pair(obj))
         elif recipe == "semidirect":
-            rep = bundles.parse_representation(doc)
-            out = bundles.omega_lie_doc(semidirect_rep(rep))
+            out = bundles.omega_lie_doc(semidirect_rep(obj))
         elif recipe == "double":
-            dp = bundles.parse_dual_pair(doc)
-            out = bundles.omega_lie_doc(double_bracket(dp))
+            out = bundles.omega_lie_doc(double_bracket(obj))
         elif recipe == "cobracket":
-            dual = bundles.parse_omega_lie(doc)
-            out = bundles.cobracket_doc(cobracket_of_dual(dual))
+            out = bundles.cobracket_doc(cobracket_of_dual(obj))
         elif recipe == "dual-from-r":
-            bundle = bundles.parse_two_tensor(doc)
-            if bundle.algebra is None:
-                raise BundleFormatError("dual-from-r needs an algebra block in the tensor bundle")
-            ctx = YbeContext(bundle.algebra, bundle.u_r or Vector.zero(bundle.tensor.dim))
-            out = bundles.omega_lie_doc(dual_structure_from_r(ctx, bundle.tensor))
+            ctx = _tensor_context(obj, recipe)
+            out = bundles.omega_lie_doc(dual_structure_from_r(ctx, obj.tensor))
         elif recipe == "lsa-from-o":
-            ob = bundles.parse_o_operator(doc)
-            if not isinstance(ob.rep, Representation):
-                raise BundleFormatError("lsa-from-o needs a representation-flavor operator")
-            out = bundles.lsa_doc(lsa_from_o_operator(ob.algebra, ob.rep, ob.t))
+            out = bundles.lsa_doc(lsa_from_o_operator(*_rep_operator(obj, recipe)))
         elif recipe == "lift-o":
-            ob = bundles.parse_o_operator(doc)
-            if not isinstance(ob.rep, Representation):
-                raise BundleFormatError("lift-o needs a representation-flavor operator")
-            ambient, tensor = lift_o_operator(ob.algebra, ob.rep, ob.t)
+            ambient, tensor = lift_o_operator(*_rep_operator(obj, recipe))
             out = bundles.two_tensor_doc(tensor, ambient, Vector.zero(ambient.dim))
-        elif recipe == "omega-lie-from-lsa":
-            lsa = bundles.parse_lsa(doc)
-            scale = rat(args.scale) if args.scale is not None else rat(doc.get("c", 1))
-            built = omega_lie_from_lsa(lsa, Fraction(scale))
-            out = bundles.omega_lie_doc(built)
-            _, complement = commutator_complement(lsa)
+        else:  # omega-lie-from-lsa
+            scale = bundles._parse_rat(args.scale if args.scale is not None else doc.get("c", 1))
+            out = bundles.omega_lie_doc(omega_lie_from_lsa(obj, scale))
+            _, complement = commutator_complement(obj)
             out["meta"]["complement_indices"] = [j + 1 for j in complement]
-            out["meta"]["c"] = rat_str(Fraction(scale))
-        else:  # pragma: no cover - argparse restricts choices
-            raise BundleFormatError(f"unknown recipe {recipe!r}")
-    except (AxiomViolation, ValueError) as exc:
-        if isinstance(exc, BundleFormatError):
-            raise
+            out["meta"]["c"] = rat_str(scale)
+    except BundleFormatError:
+        raise
+    except ValueError as exc:  # AxiomViolation included: a precondition failed
         report = _failure_report(f"construct {recipe}", str(exc))
         return _finish_report(report, config, args.out)
     _emit(out, args.out)
@@ -274,13 +282,16 @@ def cmd_construct(args, config: ToolkitConfig) -> int:
 
 
 def cmd_yb(args, config: ToolkitConfig) -> int:
-    alg = bundles.parse_multiplicative(bundles.load_path(args.algebra), "--algebra")
-    bundle = bundles.parse_two_tensor(bundles.load_path(args.r_tensor))
+    _, alg = _read(args.algebra, KINDS["yb"]["--algebra"])
+    if not alg.is_multiplicative:
+        raise BundleFormatError("--algebra must give r, not omega")
+    _, bundle = _read(args.r_tensor, KINDS["yb"]["--r-tensor"])
     tensor = bundle.tensor
-    u_r = bundle.u_r if bundle.u_r is not None else None
     if args.u_r is not None:
         u_r = _parse_u_r(args.u_r, alg.dim)
-    ctx = YbeContext(alg, u_r if u_r is not None else Vector.zero(alg.dim))
+    else:
+        u_r = bundle.u_r or Vector.zero(alg.dim)
+    ctx = YbeContext(alg, u_r)
     if args.operation == "residual":
         _emit(bundles.three_tensor_doc(yb_residual(ctx, tensor)), args.out)
         return 0
@@ -294,17 +305,14 @@ def cmd_yb(args, config: ToolkitConfig) -> int:
 
 
 def cmd_verify(args, config: ToolkitConfig) -> int:
-    doc = bundles.load_path(args.infile)
-    if args.theorem == "thm-3.8":
-        dp = bundles.parse_dual_pair(doc)
-        report = crosscheck_equivalence(dp)
-    elif args.theorem == "thm-4.4":
-        bundle = bundles.parse_two_tensor(doc)
-        if bundle.algebra is None:
-            raise BundleFormatError("thm-4.4 needs an algebra block in the tensor bundle")
-        ctx = YbeContext(bundle.algebra, bundle.u_r or Vector.zero(bundle.tensor.dim))
-        conditions = solution_conditions(ctx, bundle.tensor)
-        dual = dual_structure_from_r(ctx, bundle.tensor)
+    theorem = args.theorem
+    _, obj = _read(args.infile, KINDS["verify"][theorem])
+    if theorem == "thm-3.8":
+        report = crosscheck_equivalence(obj)
+    elif theorem == "thm-4.4":
+        ctx = _tensor_context(obj, theorem)
+        conditions = solution_conditions(ctx, obj.tensor)
+        dual = dual_structure_from_r(ctx, obj.tensor)
         axioms = check_omega_lie(dual)
         report = Report("dual-structure equivalence")
         report.extend(conditions, "")
@@ -315,11 +323,9 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
         report.meta["conditions_verdict"] = conditions.verdict
         report.meta["dual_axioms_verdict"] = axioms.verdict
     else:  # thm-5.18
-        ob = bundles.parse_o_operator(doc)
-        if not isinstance(ob.rep, Representation):
-            raise BundleFormatError("thm-5.18 needs a representation-flavor operator")
-        operator = check_o_operator(ob.algebra, ob.rep, ob.t)
-        ambient, tensor = lift_o_operator(ob.algebra, ob.rep, ob.t)
+        operator_args = _rep_operator(obj, theorem)
+        operator = check_o_operator(*operator_args)
+        ambient, tensor = lift_o_operator(*operator_args)
         residual = yb_residual(YbeContext(ambient, Vector.zero(ambient.dim)), tensor)
         report = Report("operator-lift equivalence")
         report.extend(operator, "")
@@ -337,8 +343,7 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
 def cmd_solve(args, config: ToolkitConfig, deterministic: bool) -> int:
     from .solver import build_problem, minimize, rationalize_verify
 
-    doc = bundles.require_kind(bundles.load_path(args.infile), "solve_request")
-    req = bundles.parse_solve_request(doc)
+    _, req = _read(args.infile, KINDS["solve"])
     options = bundles.solve_options(config.solver or {}, req.options)
     if deterministic:
         options = replace(options, seed=1)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebras import OmegaLieAlgebra, admissible_subspace
 from .errors import DimensionMismatch, EmptyParameterSpace
-from .linalg import Vector
+from .linalg import Vector, combine
 from .yang_baxter import TwoTensor, YbeContext, yb_residual
 
 
@@ -88,16 +88,8 @@ def build_problem(
     if len(u_r) != n:
         raise DimensionMismatch("distinguished element must live in the algebra")
     basis = tuple(skew_parameter_basis(algebra))
-    structure = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                structure[i, j, k] = float(algebra.table[i][j][k])
-    basis_float = np.zeros((len(basis), n, n))
-    for t, tensor in enumerate(basis):
-        for i in range(n):
-            for j in range(n):
-                basis_float[t, i, j] = float(tensor.entries[i, j])
+    structure = np.array([[list(v) for v in row] for row in algebra.table], dtype=float)
+    basis_float = np.array([t.entries.rows for t in basis], dtype=float).reshape(len(basis), n, n)
     linear_basis = _tensor_linear(np.array([float(c) for c in u_r]), basis_float)
     return SolveProblem(algebra, u_r, options, basis, structure, basis_float, linear_basis)
 
@@ -269,11 +261,7 @@ def rationalize_verify(problem: SolveProblem, result: SolveResult) -> SolveResul
         raise ValueError("only converged candidates are rationalized")
     bound = problem.options.max_denominator
     coords = [Fraction(float(c)).limit_denominator(bound) for c in result.best_coords]
-    n = problem.algebra.dim
-    exact = TwoTensor.zero(n)
-    for q, tensor in zip(coords, problem.basis):
-        if q != 0:
-            exact = exact + tensor.scale(q)
+    exact = TwoTensor(problem.algebra.dim, combine([t.entries for t in problem.basis], coords))
     ctx = YbeContext(problem.algebra, problem.u_r)
     residual = yb_residual(ctx, exact)
     if residual.is_zero() and exact.is_skew():

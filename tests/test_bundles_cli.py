@@ -252,8 +252,11 @@ _SOLVE = _fixture_doc("solve_b2")
 _DUAL = _fixture_doc("dual_pair_classical")
 _GOOD_T = _fixture_doc("good_t")
 _WEDGE_CTX = _fixture_doc("wedge_ctx")
+_LSA_NC2 = _fixture_doc("lsa_nc2")
+_FROM_LSA = "construct omega-lie-from-lsa"
 
-# (command, bundle document, config document or None)
+# (command words before the bundle path, bundle document, config document
+# or None); every command but check takes the bundle as --in
 HOSTILE_INPUTS = {
     "meta-not-object-omega-lie": ("check", _with(_fixture_doc("b2"), meta="x"), None),
     "meta-not-object-generalized": ("check", _with(_GENERALIZED, meta="x"), None),
@@ -323,6 +326,14 @@ HOSTILE_INPUTS = {
         {"kind": "three_tensor", "dim": 2, "entries": [[["0", "0"], ["0"]], [["0"] * 2] * 2]},
         None,
     ),
+    "scale-flag-not-rational": (f"{_FROM_LSA} --c abc", _LSA_NC2, None),
+    "scale-flag-empty": (f"{_FROM_LSA} --c=", _LSA_NC2, None),
+    "scale-flag-zero-denominator": (f"{_FROM_LSA} --c 1/0", _LSA_NC2, None),
+    "scale-field-string": (_FROM_LSA, _with(_LSA_NC2, c="x"), None),
+    "scale-field-list": (_FROM_LSA, _with(_LSA_NC2, c=[]), None),
+    "scale-field-object": (_FROM_LSA, _with(_LSA_NC2, c={}), None),
+    "scale-field-null": (_FROM_LSA, _with(_LSA_NC2, c=None), None),
+    "two-tensor-algebra-dim-differs": ("construct dual-from-r", _with(_WEDGE_CTX, algebra=_LINE), None),
 }
 
 
@@ -331,7 +342,7 @@ def test_cli_hostile_input_exit_2(case, tmp_path, capsys):
     command, doc, config = HOSTILE_INPUTS[case]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    argv = ["check", str(path)] if command == "check" else ["solve", "--in", str(path)]
+    argv = command.split() + ([str(path)] if command == "check" else ["--in", str(path)])
     if config is not None:
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps(config))
@@ -344,17 +355,40 @@ def test_cli_hostile_input_exit_2(case, tmp_path, capsys):
 
 
 # (fixture, command) pairs where the command is fed a document of a kind it
-# does not read, with the kind it does read
+# does not read, with the kind it does read.  The fixture goes to --in, or to
+# --algebra with wedge as --r-tensor for the yb commands.
 WRONG_KIND = {
     ("bad_t", "solve"): "solve_request",
     ("dual_pair_classical", "solve"): "solve_request",
     ("wedge_ctx", "solve"): "solve_request",
+    **{
+        (fixture, f"construct {recipe}"): "omega_lie"
+        for recipe in ("adjoint-pair", "cobracket")
+        for fixture in ("lsa_nc2", "residual_b2", "wedge", "wedge_ctx")
+    },
+    **{
+        (fixture, "construct omega-lie-from-lsa"): "lsa"
+        for fixture in ("ax2", "b2", "residual_b2", "wedge", "wedge_ctx")
+    },
+    ("b2", "verify thm-3.8"): "dual_pair",
+    ("good_t", "verify thm-4.4"): "two_tensor",
+    ("wedge_ctx", "verify thm-5.18"): "o_operator",
+    **{
+        (fixture, f"yb {op} --algebra"): "omega_lie"
+        for op in ("residual", "admissible", "lemma42", "bialgebra")
+        for fixture in ("lsa_nc2", "residual_b2", "wedge", "wedge_ctx")
+    },
 }
 
 
 @pytest.mark.parametrize("fixture, command", sorted(WRONG_KIND))
 def test_cli_wrong_kind_exit_2(fixture, command, capsys):
-    assert run([command, "--in", fixture_path(fixture)]) == 2
+    words = command.split()
+    if words[0] == "yb":
+        argv = words + [fixture_path(fixture), "--r-tensor", fixture_path("wedge")]
+    else:
+        argv = words + ["--in", fixture_path(fixture)]
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
