@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .errors import AxiomViolation, DimensionMismatch
 from .linalg import (
@@ -28,6 +29,37 @@ from .reports import Report
 # Yang-Baxter machinery: "center" admits any central element, "zero" admits
 # only the zero vector.
 CENTRAL_RULES = ("center", "zero")
+
+
+class IntTable(NamedTuple):
+    """A bracket table and an optional linear form as integer numerators
+    over one denominator: ``c[i*n + j][k] / den`` is the e_k coefficient of
+    [e_i, e_j], and ``r[k] / den`` the value of the form on e_k (``r`` is
+    None without a form)."""
+
+    c: list
+    r: Optional[list]
+    den: int
+
+
+def _int_table(table, r: Optional[Vector] = None) -> IntTable:
+    """The integer view of a bracket table and an optional linear form.
+
+    Every structure builds the view of each of its tables once, on first
+    use; the exact sweeps read it and build Fractions again only for what
+    they report or return.
+    """
+    rows = [v for row in table for v in row]
+    nums, den = _integer_numerators(rows if r is None else rows + [r])
+    return IntTable(nums[: len(rows)], None if r is None else nums[-1], den)
+
+
+def _pullback(t: IntTable) -> tuple[list, int]:
+    """Numerators of r([e_i, e_j]) as rows, with their denominator."""
+    n = len(t.r)
+    return [
+        [sum(a * b for a, b in zip(t.r, t.c[i * n + j])) for j in range(n)] for i in range(n)
+    ], t.den * t.den
 
 
 def _as_bracket_table(dim: int, table) -> tuple:
@@ -70,6 +102,11 @@ class OmegaLieAlgebra:
     def is_multiplicative(self) -> bool:
         return self.r is not None
 
+    @cached_property
+    def _ints(self) -> IntTable:
+        """The integer view of the table and r, built on first use."""
+        return _int_table(self.table, self.r)
+
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the structure constants."""
         return _bilinear(self.table, x, y)
@@ -107,6 +144,14 @@ class GeneralizedOmegaLieAlgebra:
         object.__setattr__(self, "table2", _as_bracket_table(self.dim, self.table2))
         if len(self.r) != self.dim:
             raise DimensionMismatch("r must have length dim")
+
+    @cached_property
+    def _ints1(self) -> IntTable:
+        return _int_table(self.table1, self.r)
+
+    @cached_property
+    def _ints2(self) -> IntTable:
+        return _int_table(self.table2)
 
     def bracket1(self, x: Vector, y: Vector) -> Vector:
         return _bilinear(self.table1, x, y)
@@ -161,6 +206,10 @@ class LeftSymmetricAlgebra:
     def is_plain(self) -> bool:
         return self.r is None and self.omega is None
 
+    @cached_property
+    def _ints(self) -> IntTable:
+        return _int_table(self.table, self.r)
+
     def product(self, x: Vector, y: Vector) -> Vector:
         return _bilinear(self.table, x, y)
 
@@ -175,45 +224,41 @@ class LeftSymmetricAlgebra:
 def check_omega_lie(algebra: OmegaLieAlgebra) -> Report:
     """Anticommutativity and the twisted Jacobi identity on all basis triples."""
     report = Report(f"omega-lie axioms [{algebra.label or 'unnamed'}]")
-    _jacobi_clauses(
-        report, "anticommutativity", algebra.table, algebra.table, algebra.r, algebra.omega
-    )
+    t = algebra._ints
+    _jacobi_clauses(report, "anticommutativity", algebra.table, t, t, _twist(algebra))
     return report
 
 
-def _pullback(r: Vector, pairs: list, den: int) -> tuple[list, int]:
-    """Numerators of r([e_i, e_j]) as rows, from the bracket numerators
-    ``pairs`` over ``den``, with their common denominator."""
-    (rn,), dr = _integer_numerators([r])
-    n = len(rn)
-    return [
-        [sum(a * b for a, b in zip(rn, pairs[i * n + j])) for j in range(n)] for i in range(n)
-    ], dr * den
+def _twist(algebra: OmegaLieAlgebra) -> tuple[list, int]:
+    """Numerators of the twist on basis pairs, r([e_i, e_j]) or the explicit
+    omega, with their denominator."""
+    if algebra.omega is not None:
+        return _integer_numerators(algebra.omega.rows)
+    return _pullback(algebra._ints)
 
 
-def _jacobi_clauses(report: Report, anti_name: str, table1, table2, r, omega) -> None:
+def _jacobi_clauses(
+    report: Report, anti_name: str, table1, t1: IntTable, t2: IntTable, twist: tuple
+) -> None:
     """Anticommutativity of the first bracket, then the twisted Jacobi
     identity [[e_i, e_j]_1, e_k]_2 + cyclic = w(e_i, e_j) e_k + cyclic on
-    all basis triples in C order, where w is ``omega`` or else r pulled back
-    through the first bracket.  An omega-Lie algebra is the case
-    table2 = table1.
+    all basis triples in C order, where ``t1`` and ``t2`` are the integer
+    views of the two brackets and ``twist`` = (w, dw) is the twist.  An
+    omega-Lie algebra is the case t2 = t1.
 
     Both sides are integer numerators, each scaled by the other side's
     denominator.
     """
     n = len(table1)
-    # pairs[i*n + j] is [e_i, e_j]_1; by_first[p][k*n + t] is the e_t entry of [e_p, e_k]_2
-    pairs, d1 = _integer_numerators(v for row in table1 for v in row)
-    by_first, d2 = _integer_numerators([e for v in row for e in v] for row in table2)
+    pairs, d1, d2 = t1.c, t1.den, t2.den
+    # by_first[p][k*n + t] is the e_t entry of [e_p, e_k]_2
+    by_first = [[e for v in t2.c[p * n : p * n + n] for e in v] for p in range(n)]
     anti = report.clause(anti_name)
     for i in range(n):
         for j in range(i, n):
             if pairs[i * n + j] != [-x for x in pairs[j * n + i]]:
                 anti.add((i, j), table1[i][j], -table1[j][i])
-    if omega is not None:
-        w, dw = _integer_numerators(omega.rows)
-    else:
-        w, dw = _pullback(r, pairs, d1)
+    w, dw = twist
     den = d1 * d2
     w = [[x * den for x in row] for row in w]
     # nested[i*n + j][k*n + t]: the e_t entry of [[e_i, e_j]_1, e_k]_2, times dw
@@ -266,8 +311,9 @@ def check_generalized(algebra: GeneralizedOmegaLieAlgebra) -> Report:
     """First-bracket anticommutativity plus the two-bracket twisted Jacobi
     identity on all basis triples."""
     report = Report(f"generalized axioms [{algebra.label or 'unnamed'}]")
+    t1 = algebra._ints1
     _jacobi_clauses(
-        report, "bracket1-anticommutativity", algebra.table1, algebra.table2, algebra.r, None
+        report, "bracket1-anticommutativity", algebra.table1, t1, algebra._ints2, _pullback(t1)
     )
     return report
 
@@ -310,9 +356,9 @@ def check_lsa(algebra: LeftSymmetricAlgebra) -> Report:
     n = algebra.dim
     report = Report(f"left-symmetric axioms [{algebra.label or 'unnamed'}]")
     clause = report.clause("twisted-left-symmetry")
-    pairs, d = _integer_numerators(v for row in algebra.table for v in row)
+    pairs, d = algebra._ints.c, algebra._ints.den
     if algebra.r is not None:
-        pull, dw = _pullback(algebra.r, pairs, d)
+        pull, dw = _pullback(algebra._ints)
         w = [[pull[i][j] - pull[j][i] for j in range(n)] for i in range(n)]
     elif algebra.omega is not None:
         w, dw = _integer_numerators(algebra.omega.rows)

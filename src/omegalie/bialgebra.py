@@ -21,6 +21,7 @@ from .reports import Report
 from .representations import (
     GenRepPair,
     _dual_family,
+    _matrices,
     adjoint_pair,
     check_gen_rep,
     generalized_dual_pair,
@@ -74,8 +75,7 @@ def dual_pair(algebra: OmegaLieAlgebra, dual: OmegaLieAlgebra) -> DualPair:
 
 def _coadjoint_families(algebra: OmegaLieAlgebra) -> tuple:
     """The two families of the dual of the adjoint pair, unverified."""
-    adjoint = adjoint_pair(algebra)
-    return _dual_family(algebra, adjoint.rho1), _dual_family(algebra, adjoint.rho2)
+    return _matrices(_dual_family(algebra, adjoint_pair(algebra)._ints))
 
 
 def uses_standard_pairs(dp: DualPair) -> bool:
@@ -269,21 +269,20 @@ def check_invariant_form(algebra: OmegaLieAlgebra, form: BilinearForm) -> Report
     n = algebra.dim
     if form.dim != n:
         raise DimensionMismatch("form and algebra dimensions differ")
-    pairs, dc = _integer_numerators(v for row in algebra.table for v in row)
+    pairs, r, dc = algebra._ints
     gram, dg = _integer_numerators(form.matrix.rows)
-    (r,), dr = _integer_numerators([algebra.r])
     # left[i*n + j][k] = B([e_i, e_j], e_k) and right[i][j*n + k] = B(e_i, [e_j, e_k]),
-    # both over dc * dg; the form terms are over dr * dg
+    # both over dc * dg, as are the form terms
     left = _int_matmul(pairs, gram)
     right = _int_matmul(gram, [list(col) for col in zip(*pairs)])
-    den = dc * dg * dr
+    den = dc * dg
     report = Report("invariant bilinear form")
     clause = report.clause("twisted-invariance")
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = left[i * n + j][k] * dr
-                rhs = right[i][j * n + k] * dr + dc * (
+                lhs = left[i * n + j][k]
+                rhs = right[i][j * n + k] + (
                     -2 * r[j] * gram[i][k] + r[i] * gram[j][k] + r[k] * gram[i][j]
                 )
                 if lhs != rhs:

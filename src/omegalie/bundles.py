@@ -61,6 +61,8 @@ def _parse_dim(doc: dict, key: str = "dim") -> int:
 
 
 def _parse_rat(value) -> Fraction:
+    if isinstance(value, bool):
+        _fail(f"bad rational {value!r}: a JSON boolean is not a number")
     try:
         return rat(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -10,15 +10,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple
 
 from .algebras import (
     GeneralizedOmegaLieAlgebra,
+    IntTable,
     OmegaLieAlgebra,
+    _pullback,
+    _twist,
     check_generalized,
     check_omega_lie,
 )
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Vector, combine, pad, solve_linear
+from .linalg import Matrix, Vector, _int_matmul, _integer_numerators, combine, pad, solve_linear
 from .reports import Clause, Report
 
 
@@ -30,6 +36,48 @@ def _check_operator_family(algebra_dim: int, carrier_dim: int, mats, what: str) 
         if m.shape != (carrier_dim, carrier_dim):
             raise DimensionMismatch(f"{what} matrices must be {carrier_dim} x {carrier_dim}")
     return mats
+
+
+class IntFamilies(NamedTuple):
+    """Operator families on an m-dim carrier as integer numerators over one
+    denominator: ``mats[f][k][p*m + q] / den`` is entry (p, q) of the k-th
+    matrix of family f."""
+
+    mats: tuple
+    den: int
+    m: int
+
+
+def _int_families(m: int, *families) -> IntFamilies:
+    """The integer view of operator families on an m-dim carrier.
+
+    A representation or pair builds it once, on first use, unless it was
+    built from one (``_built``); the identity sweeps read it and build
+    Fractions again only for what they report or return.
+    """
+    nums, den = _integer_numerators(
+        [e for row in mat.rows for e in row] for fam in families for mat in fam
+    )
+    it = iter(nums)
+    return IntFamilies(tuple(tuple(next(it) for _ in fam) for fam in families), den, m)
+
+
+def _matrices(fams: IntFamilies) -> tuple:
+    """The families of an integer view as tuples of rational matrices."""
+    m, den = fams.m, fams.den
+    return tuple(tuple(_matrix(mat, den, m) for mat in fam) for fam in fams.mats)
+
+
+def _matrix(flat: list, den: int, m: int) -> Matrix:
+    """An m x m rational matrix from numerators flat in C order."""
+    return Matrix([[Fraction(x, den) for x in flat[p * m : p * m + m]] for p in range(m)])
+
+
+def _built(obj, fams: IntFamilies):
+    """``obj``, built from the matrices of ``fams``, keeping ``fams`` as its
+    integer view."""
+    obj.__dict__["_ints"] = fams
+    return obj
 
 
 @dataclass(frozen=True)
@@ -46,6 +94,10 @@ class Representation:
             "rho",
             _check_operator_family(self.algebra.dim, self.carrier_dim, self.rho, "rho"),
         )
+
+    @cached_property
+    def _ints(self) -> IntFamilies:
+        return _int_families(self.carrier_dim, self.rho)
 
     def rho_of(self, x: Vector) -> Matrix:
         return combine(self.rho, x)
@@ -83,6 +135,10 @@ class GenRepPair:
         if self.kind is GenRepKind.ASSOCIATED_GEN_II and self.carrier_dim != self.algebra.dim:
             raise DimensionMismatch("the associated kind lives on the dual of the algebra")
 
+    @cached_property
+    def _ints(self) -> IntFamilies:
+        return _int_families(self.carrier_dim, self.rho1, self.rho2)
+
 
 @dataclass(frozen=True)
 class SpecialRepII:
@@ -104,75 +160,108 @@ class SpecialRepII:
                 ),
             )
 
+    @cached_property
+    def _ints(self) -> IntFamilies:
+        return _int_families(self.carrier_dim, self.rho1, self.rho2, self.f)
 
-def _pulled_back(r: Vector, table) -> list:
-    """r([e_i, e_j]) for every basis pair of a bracket table."""
-    return [[r.dot(v) for v in row] for row in table]
 
-
-def _correction(r: Vector, rho1: tuple, rho2: tuple, i: int, j: int) -> Matrix:
-    """Second-kind correction 2r_i rho1_j - 2r_j rho1_i - 2r_i rho2_j + 2r_j rho2_i."""
-    return (
-        (2 * r[i]) * rho1[j]
-        - (2 * r[j]) * rho1[i]
-        - (2 * r[i]) * rho2[j]
-        + (2 * r[j]) * rho2[i]
-    )
+def _correction(r: list, rho1: tuple, rho2: tuple, i: int, j: int) -> list:
+    """Second-kind correction 2r_i rho1_j - 2r_j rho1_i - 2r_i rho2_j + 2r_j rho2_i,
+    flat in C order, from the numerators of r and of the two families; its
+    denominator is the product of theirs."""
+    return [
+        2 * (r[i] * (a - b) - r[j] * (c - d))
+        for a, b, c, d in zip(rho1[j], rho2[j], rho1[i], rho2[i])
+    ]
 
 
 def _rep_identity(
-    clause: Clause, table, twist: list, rho1: tuple, rho2: tuple, second_kind: Vector | None = None
+    clause: Clause, table: IntTable, twist: tuple, fams: IntFamilies, second_kind: bool = False
 ) -> None:
-    """rho1([e_i, e_j]) = rho2_i rho1_j - rho2_j rho1_i + twist[i][j] id on all
-    basis pairs in C order; a representation is the case rho1 = rho2.
+    """rho1([e_i, e_j]) = rho2_i rho1_j - rho2_j rho1_i + w(e_i, e_j) id on all
+    basis pairs in C order, where ``table`` is the integer view of the
+    bracket, ``twist`` = (w, dw) the twist on basis pairs and ``fams`` the
+    integer view of (rho1, rho2, ...); a representation is the case
+    rho1 = rho2, given as its one family.
 
-    ``second_kind`` is the linear form r of the second kind, or None for the
-    first: the second kind multiplies rho1_i rho2_j - rho1_j rho2_i instead
-    and adds the correction term.
+    The second kind multiplies rho1_i rho2_j - rho1_j rho2_i instead and adds
+    the correction term, with the form r of ``table``.  Each side is scaled
+    to one common denominator.
     """
-    n = len(table)
-    ident = Matrix.identity(rho1[0].shape[0])
+    rho1 = fams.mats[0]
+    rho2 = fams.mats[1] if len(fams.mats) > 1 else rho1
+    n, m, d = len(rho1), fams.m, fams.den
+    w, dw = twist
+    # lhs[i*n + j] is rho1([e_i, e_j]) over table.den * d; prod[a*m + p][b*m + q]
+    # is entry (p, q) of left_a right_b over d * d
+    lhs_all = _int_matmul(table.c, rho1)
+    left, right = (rho1, rho2) if second_kind else (rho2, rho1)
+    prod = _int_matmul(
+        [mat[p * m : p * m + m] for mat in left for p in range(m)],
+        [[x for mat in right for x in mat[p * m : p * m + m]] for p in range(m)],
+    )
+    den = lcm(table.den * d, d * d, dw)
+    scale_lhs, scale_prod, scale_w = den // (table.den * d), den // (d * d), den // dw
     for i in range(n):
         for j in range(n):
-            lhs = combine(rho1, table[i][j])
-            if second_kind is None:
-                rhs = rho2[i] @ rho1[j] - rho2[j] @ rho1[i] + twist[i][j] * ident
-            else:
-                rhs = (
-                    rho1[i] @ rho2[j]
-                    - rho1[j] @ rho2[i]
-                    + twist[i][j] * ident
-                    + _correction(second_kind, rho1, rho2, i, j)
-                )
+            lhs = [x * scale_lhs for x in lhs_all[i * n + j]]
+            rhs = [
+                (prod[i * m + p][j * m + q] - prod[j * m + p][i * m + q]) * scale_prod
+                for p in range(m)
+                for q in range(m)
+            ]
+            for p in range(m):
+                rhs[p * m + p] += w[i][j] * scale_w
+            if second_kind:
+                corr = _correction(table.r, rho1, rho2, i, j)
+                rhs = [x + y * scale_lhs for x, y in zip(rhs, corr)]
             if lhs != rhs:
-                clause.add((i, j), lhs, rhs)
+                clause.add((i, j), _matrix(lhs, den, m), _matrix(rhs, den, m))
 
 
-def _rho2_from_rho1(clause: Clause, r: Vector, rho1: tuple, rho2: tuple) -> None:
+def _rho2_from_rho1(clause: Clause, table: IntTable, fams: IntFamilies) -> None:
     """rho2(x)(xi) = rho1(x)(xi) - xi(x) r, checked per dual basis vector."""
-    n = len(rho1)
+    (rho1, rho2), n = fams.mats, fams.m
+    den = lcm(fams.den, table.den)
+    scale, scale_r = den // fams.den, den // table.den
     for i in range(n):
         for k in range(n):
-            lhs = rho2[i].column(k)
-            rhs = rho1[i].column(k) - (Fraction(1) if k == i else Fraction(0)) * r
+            lhs = [rho2[i][p * n + k] * scale for p in range(n)]
+            rhs = [rho1[i][p * n + k] * scale for p in range(n)]
+            if k == i:
+                rhs = [x - y * scale_r for x, y in zip(rhs, table.r)]
             if lhs != rhs:
-                clause.add((i, k), lhs, rhs)
+                clause.add(
+                    (i, k),
+                    Vector(Fraction(x, den) for x in lhs),
+                    Vector(Fraction(x, den) for x in rhs),
+                )
 
 
-def _dual_family(algebra: OmegaLieAlgebra, mats: tuple) -> tuple:
-    """The family on the dual carrier: in dual-basis coordinates each matrix
+def _dual_family(algebra: OmegaLieAlgebra, fams: IntFamilies) -> IntFamilies:
+    """The families on the dual carrier: in dual-basis coordinates each matrix
     is the negated transpose shifted by twice the r-value of its basis
     element."""
-    ident = Matrix.identity(mats[0].shape[0])
-    return tuple(-m.transpose() + (2 * algebra.r[i]) * ident for i, m in enumerate(mats))
+    t, m = algebra._ints, fams.m
+    den = lcm(fams.den, t.den)
+    scale, scale_r = den // fams.den, den // t.den
+    dual = []
+    for fam in fams.mats:
+        out = []
+        for i, mat in enumerate(fam):
+            flat = [-mat[q * m + p] * scale for p in range(m) for q in range(m)]
+            for p in range(m):
+                flat[p * m + p] += 2 * t.r[i] * scale_r
+            out.append(flat)
+        dual.append(tuple(out))
+    return IntFamilies(tuple(dual), den, m)
 
 
 def check_representation(rep: Representation) -> Report:
     """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) + omega(x,y) id, on basis pairs."""
-    alg, n = rep.algebra, rep.algebra.dim
+    alg = rep.algebra
     report = Report("representation identity")
-    twist = [[alg.omega_basis(i, j) for j in range(n)] for i in range(n)]
-    _rep_identity(report.clause("representation"), alg.table, twist, rep.rho, rep.rho)
+    _rep_identity(report.clause("representation"), alg._ints, _twist(alg), rep._ints)
     return report
 
 
@@ -183,7 +272,8 @@ def dual_representation(rep: Representation) -> Representation:
         raise AxiomViolation("dual representation needs the multiplicative flavor")
     if not check_representation(rep).passed:
         raise AxiomViolation("input does not satisfy the representation identity")
-    dual = Representation(alg, rep.carrier_dim, _dual_family(alg, rep.rho))
+    fams = _dual_family(alg, rep._ints)
+    dual = _built(Representation(alg, rep.carrier_dim, *_matrices(fams)), fams)
     result = check_representation(dual)
     if not result.passed:
         raise AxiomViolation(f"dual family fails the representation identity: {result!r}")
@@ -192,29 +282,37 @@ def dual_representation(rep: Representation) -> Representation:
 
 def check_gen_rep(pair: GenRepPair) -> Report:
     """Defining identity of the pair's kind on all basis pairs."""
-    alg = pair.algebra
+    t = pair.algebra._ints
     report = Report(f"generalized representation ({pair.kind.value})")
     _rep_identity(
         report.clause(f"{pair.kind.value}-identity"),
-        alg.table,
-        _pulled_back(alg.r, alg.table),
-        pair.rho1,
-        pair.rho2,
-        None if pair.kind is GenRepKind.GEN_I else alg.r,
+        t,
+        _pullback(t),
+        pair._ints,
+        pair.kind is not GenRepKind.GEN_I,
     )
     if pair.kind is GenRepKind.ASSOCIATED_GEN_II:
-        _rho2_from_rho1(report.clause("rho2-from-rho1"), alg.r, pair.rho1, pair.rho2)
+        _rho2_from_rho1(report.clause("rho2-from-rho1"), t, pair._ints)
     return report
+
+
+def _pair(algebra: OmegaLieAlgebra, fams: IntFamilies, kind: GenRepKind) -> GenRepPair:
+    """The pair with the families of an integer view, keeping the view."""
+    return _built(GenRepPair(algebra, fams.m, *_matrices(fams), kind), fams)
 
 
 def adjoint_pair(algebra: OmegaLieAlgebra) -> GenRepPair:
     """The pair (x -> [x, .], x -> [x, .] + r(.) x) acting on the algebra."""
     if not algebra.is_multiplicative:
         raise ValueError("the adjoint pair needs the multiplicative flavor")
-    n = algebra.dim
-    ad1 = tuple(algebra.ad1(i) for i in range(n))
-    ad2 = tuple(ad1[i] + Vector.unit(n, i).outer(algebra.r) for i in range(n))
-    return GenRepPair(algebra, n, ad1, ad2, GenRepKind.GEN_I)
+    n, (c, r, den) = algebra.dim, algebra._ints
+    # entry (k, j) of ad_i is the e_k coefficient of [e_i, e_j]
+    ad1 = tuple([c[i * n + j][k] for k in range(n) for j in range(n)] for i in range(n))
+    ad2 = tuple(
+        a[: i * n] + [x + y for x, y in zip(a[i * n : i * n + n], r)] + a[i * n + n :]
+        for i, a in enumerate(ad1)
+    )
+    return _pair(algebra, IntFamilies((ad1, ad2), den, n), GenRepKind.GEN_I)
 
 
 def generalized_dual_pair(pair: GenRepPair) -> GenRepPair:
@@ -229,17 +327,19 @@ def generalized_dual_pair(pair: GenRepPair) -> GenRepPair:
     if not check_gen_rep(pair).passed:
         raise AxiomViolation("input pair fails the first-kind identity")
     alg = pair.algebra
-    rho1, rho2 = _dual_family(alg, pair.rho1), _dual_family(alg, pair.rho2)
-    dual = GenRepPair(alg, pair.carrier_dim, rho1, rho2, GenRepKind.GEN_II)
+    fams = _dual_family(alg, pair._ints)
+    dual = _pair(alg, fams, GenRepKind.GEN_II)
     result = check_gen_rep(dual)
     if not result.passed:
         raise AxiomViolation(f"dual pair fails the second-kind identity: {result!r}")
     if pair.carrier_dim == alg.dim:
         # the associated kind is the second kind plus this one clause
         linked = Clause("rho2-from-rho1")
-        _rho2_from_rho1(linked, alg.r, rho1, rho2)
+        _rho2_from_rho1(linked, alg._ints, fams)
         if linked.passed:
-            return GenRepPair(alg, pair.carrier_dim, rho1, rho2, GenRepKind.ASSOCIATED_GEN_II)
+            return _built(
+                GenRepPair(alg, fams.m, dual.rho1, dual.rho2, GenRepKind.ASSOCIATED_GEN_II), fams
+            )
     return dual
 
 
@@ -297,35 +397,26 @@ def check_rep_i_generalized(
     rho1 = _check_operator_family(n, m, rho1, "rho1")
     rho2 = _check_operator_family(n, m, rho2, "rho2")
     report = Report("representation-i (two-bracket)")
-    _rep_identity(
-        report.clause("rep-i-identity"),
-        algebra.table1,
-        _pulled_back(algebra.r, algebra.table1),
-        rho1,
-        rho2,
-    )
+    t = algebra._ints1
+    _rep_identity(report.clause("rep-i-identity"), t, _pullback(t), _int_families(m, rho1, rho2))
     return report
 
 
 def check_special_rep_ii(data: SpecialRepII) -> Report:
     """Second-kind identity plus the f-identity of a special second-kind tuple."""
-    alg, n = data.algebra, data.algebra.dim
+    n, m, t, fams = data.algebra.dim, data.carrier_dim, data.algebra._ints1, data._ints
     report = Report("special representation-ii")
-    _rep_identity(
-        report.clause("rep-ii-identity"),
-        alg.table1,
-        _pulled_back(alg.r, alg.table1),
-        data.rho1,
-        data.rho2,
-        alg.r,
-    )
+    _rep_identity(report.clause("rep-ii-identity"), t, _pullback(t), fams, True)
     f_clause = report.clause("f-identity")
+    rho1, rho2, f = fams.mats
+    # both sides over t.den * fams.den
+    lhs_all = _int_matmul(t.c, f)
+    den = t.den * fams.den
     for i in range(n):
         for j in range(n):
-            lhs = combine(data.f, alg.table1[i][j])
-            rhs = _correction(alg.r, data.rho1, data.rho2, i, j)
+            lhs, rhs = lhs_all[i * n + j], _correction(t.r, rho1, rho2, i, j)
             if lhs != rhs:
-                f_clause.add((i, j), lhs, rhs)
+                f_clause.add((i, j), _matrix(lhs, den, m), _matrix(rhs, den, m))
     return report
 
 
@@ -390,11 +481,13 @@ def solve_f_for_special_ii(
     m = rho1[0].shape[0]
     pairs = [(i, j) for i in range(n) for j in range(n)]
     coeff = Matrix([[algebra.table1[i][j][k] for k in range(n)] for (i, j) in pairs])
-    targets = {(i, j): _correction(algebra.r, rho1, rho2, i, j) for (i, j) in pairs}
+    t, fams = algebra._ints1, _int_families(m, rho1, rho2)
+    den = t.den * fams.den
+    targets = [_correction(t.r, *fams.mats, i, j) for (i, j) in pairs]
     solution = [[[Fraction(0)] * m for _ in range(m)] for _ in range(n)]
     for p in range(m):
         for q in range(m):
-            rhs = Vector([targets[pair][p, q] for pair in pairs])
+            rhs = Vector([Fraction(target[p * m + q], den) for target in targets])
             x = solve_linear(coeff, rhs)
             if x is None:
                 return None

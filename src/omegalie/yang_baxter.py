@@ -149,7 +149,7 @@ def _residual_numerators(ctx: YbeContext, tensor: TwoTensor) -> tuple[list, int]
     n = alg.dim
     if tensor.dim != n:
         raise DimensionMismatch("tensor and algebra dimensions differ")
-    pairs, dc = _integer_numerators(v for row in alg.table for v in row)
+    pairs, dc = alg._ints.c, alg._ints.den
     r_rows, dr = _integer_numerators(tensor.entries.rows)
     (u,), du = _integer_numerators([ctx.u_r])
     r_cols = [list(col) for col in zip(*r_rows)]
@@ -257,7 +257,7 @@ def ad_x_t3(algebra: OmegaLieAlgebra, x_index: int, tensor: ThreeTensor) -> Thre
         raise DimensionMismatch("tensor and algebra dimensions differ")
     if not 0 <= x_index < n:
         raise DimensionMismatch("basis index out of range")
-    pairs, dc = _integer_numerators(v for row in algebra.table for v in row)
+    pairs, dc = algebra._ints.c, algebra._ints.den
     t_rows, dt = _integer_numerators(row for plane in tensor.entries for row in plane)
     t = [e for row in t_rows for e in row]
     return _three_tensor(_adjoint_action(_adjoint_columns(pairs, x_index), t, n), dc * dt, n)
@@ -356,7 +356,7 @@ def solution_conditions(ctx: YbeContext, tensor: TwoTensor) -> Report:
     n = alg.dim
     report = Report("solution conditions")
     residual, d_res = _residual_numerators(ctx, tensor)
-    pairs, dc = _integer_numerators(v for row in alg.table for v in row)
+    pairs, dc = alg._ints.c, alg._ints.den
     r_rows, dr = _integer_numerators(tensor.entries.rows)
     sym = [[r_rows[i][j] + r_rows[j][i] for j in range(n)] for i in range(n)]
     cond_i = report.clause("symmetrized-tensor-invariant")

@@ -21,79 +21,101 @@ def bracket_vec(c, x, y):
     return out
 
 
-def omega_lie_violations(c, omega):
-    """Anticommutativity and twisted-Jacobi violations for raw tables.
-
-    omega[i][j] is the twist on basis pairs (already pulled back through r
-    when applicable).  Returns two sets of index tuples.
-    """
+def _anti_violations(c):
+    """Unordered index pairs where c[i][j] != -c[j][i], raw lists."""
     n = len(c)
-    anti = set()
+    return {
+        (min(i, j), max(i, j))
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if c[i][j][k] != -c[j][i][k]
+    }
+
+
+def _nested(c1, c2):
+    """nested[i][j][k][t]: the e_t coefficient of [[e_i, e_j]_1, e_k]_2, the
+    sum over s of c1[i][j][s] c2[s][k][t]."""
+    n = len(c1)
+    out = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if c[i][j][k] != -c[j][i][k]:
-                    anti.add((min(i, j), max(i, j)))
+            for s in range(n):
+                coeff = c1[i][j][s]
+                if coeff:
+                    for k in range(n):
+                        row, src = out[i][j][k], c2[s][k]
+                        for t in range(n):
+                            row[t] += coeff * src[t]
+    return out
+
+
+def _jacobi_violations(c1, c2, omega):
+    """Triples where [[e_i, e_j]_1, e_k]_2 + cyclic differs from
+    omega[i][j] e_k + cyclic, raw lists."""
+    n = len(c1)
+    nested = _nested(c1, c2)
     jac = set()
-    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = bracket_vec(c, c[i][j], unit(k))
-                mid = bracket_vec(c, c[j][k], unit(i))
-                rgt = bracket_vec(c, c[k][i], unit(j))
-                for t in range(n):
-                    lhs[t] += mid[t] + rgt[t]
+                lhs = [
+                    a + b + c
+                    for a, b, c in zip(nested[i][j][k], nested[j][k][i], nested[k][i][j])
+                ]
                 rhs = [Fraction(0)] * n
                 rhs[k] += omega[i][j]
                 rhs[i] += omega[j][k]
                 rhs[j] += omega[k][i]
                 if lhs != rhs:
                     jac.add((i, j, k))
-    return anti, jac
+    return jac
+
+
+def omega_lie_violations(c, omega):
+    """Anticommutativity and twisted-Jacobi violations for raw tables.
+
+    omega[i][j] is the twist on basis pairs (already pulled back through r
+    when applicable).  Returns two sets of index tuples.
+    """
+    return _anti_violations(c), _jacobi_violations(c, c, omega)
 
 
 def generalized_violations(c1, c2, r):
     n = len(c1)
-    anti = set()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if c1[i][j][k] != -c1[j][i][k]:
-                    anti.add((min(i, j), max(i, j)))
-    jac = set()
-    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
-    rdot = lambda v: sum((a * b for a, b in zip(r, v)), Fraction(0))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = bracket_vec(c2, c1[i][j], unit(k))
-                mid = bracket_vec(c2, c1[j][k], unit(i))
-                rgt = bracket_vec(c2, c1[k][i], unit(j))
-                for t in range(n):
-                    lhs[t] += mid[t] + rgt[t]
-                rhs = [Fraction(0)] * n
-                rhs[k] += rdot(c1[i][j])
-                rhs[i] += rdot(c1[j][k])
-                rhs[j] += rdot(c1[k][i])
-                if lhs != rhs:
-                    jac.add((i, j, k))
-    return anti, jac
+    pulled = [
+        [sum((a * b for a, b in zip(r, c1[i][j])), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    return _anti_violations(c1), _jacobi_violations(c1, c2, pulled)
 
 
 def lsa_violations(a, omega):
-    """Twisted left-symmetry violations for a raw product table."""
+    """Twisted left-symmetry violations for a raw product table: the
+    associator (e_i e_j) e_k - e_i (e_j e_k) minus its (j, i, k) value
+    against omega[i][j] e_k."""
     n = len(a)
-    unit = lambda t: [Fraction(1) if s == t else Fraction(0) for s in range(n)]
+    # left[i][j][k] = (e_i e_j) e_k; right[i][j][k] = e_i (e_j e_k), the sum
+    # over s of a[j][k][s] a[i][s][t]
+    left = _nested(a, a)
+    right = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = right[i][j][k]
+                for s in range(n):
+                    coeff = a[j][k][s]
+                    if coeff:
+                        for t in range(n):
+                            row[t] += coeff * a[i][s][t]
     bad = set()
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = bracket_vec(a, a[i][j], unit(k))
-                t2 = bracket_vec(a, unit(i), a[j][k])
-                t3 = bracket_vec(a, a[j][i], unit(k))
-                t4 = bracket_vec(a, unit(j), a[i][k])
-                res = [lhs[t] - t2[t] - t3[t] + t4[t] for t in range(n)]
+                res = [
+                    w - x - y + z
+                    for w, x, y, z in zip(left[i][j][k], right[i][j][k], left[j][i][k], right[j][i][k])
+                ]
                 res[k] -= omega[i][j]
                 if any(res):
                     bad.add((i, j, k))

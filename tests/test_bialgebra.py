@@ -22,7 +22,7 @@ from omegalie.bialgebra import (
 )
 from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, Subspace, Vector
-from omegalie.representations import GenRepKind, GenRepPair
+from omegalie.representations import GenRepKind, GenRepPair, check_gen_rep
 
 from conftest import (
     antisymmetrize,
@@ -304,6 +304,29 @@ def test_crosscheck_verifies_each_algebra_once(monkeypatch):
     )
     assert crosscheck_equivalence(dp).passed
     assert checked == [4]
+
+
+def test_dual_pair_builds_each_integer_view_once(monkeypatch):
+    """``dual_pair`` reads one integer view per algebra and per operator
+    family, each built at most once: the constructions seed the views of the
+    pairs they return."""
+    import omegalie.algebras as algebras
+    import omegalie.representations as representations
+
+    built = []
+
+    def counted(real):
+        return lambda *args: built.append(tuple(map(id, args))) or real(*args)
+
+    monkeypatch.setattr(algebras, "_int_table", counted(algebras._int_table))
+    monkeypatch.setattr(representations, "_int_families", counted(representations._int_families))
+    lhs, rhs = make_b2(), abelian(2)
+    dp = dual_pair(lhs, rhs)
+    assert sorted(built) == sorted([(id(lhs.table), id(lhs.r)), (id(rhs.table), id(rhs.r))])
+    # the returned pairs carry their views: checking them builds nothing
+    for pair in (dp.pair_on_dual, dp.pair_on_algebra):
+        assert check_gen_rep(pair).passed
+    assert len(built) == 2
 
 
 def test_crosscheck_classical_and_abelian():

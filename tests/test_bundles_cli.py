@@ -285,6 +285,7 @@ HOSTILE_INPUTS = {
     ),
     "carrier-dim-bool-gen-rep-pair": ("check", _with(_LINE_PAIR, carrier_dim=True), None),
     "bool-basis-index": ("check", _with(_fixture_doc("b2"), bracket=[[True, 2, 1, "1"]]), None),
+    "bool-rational": ("check", _with(_fixture_doc("b2"), r=[True, False]), None),
     "config-not-object": ("check", _fixture_doc("b2"), [1]),
     "rep-not-object-o-operator": ("check", _with(_GOOD_T, rep=5), None),
     "rep-string-o-operator": ("check", _with(_GOOD_T, rep="kind"), None),

@@ -1,9 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from omegalie.algebras import GeneralizedOmegaLieAlgebra, OmegaLieAlgebra, abelian, check_omega_lie
+from omegalie.algebras import (
+    GeneralizedOmegaLieAlgebra,
+    OmegaLieAlgebra,
+    abelian,
+    check_omega_lie,
+    omega_lie,
+)
 from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, Vector
 from omegalie.representations import (
@@ -366,3 +374,85 @@ def test_rep_identity_with_explicit_omega_matches_oracle():
         rho = tuple(Matrix([[entry() for _ in range(m)] for _ in range(m)]) for _ in range(n))
         sides = rep_identity_sides(raw, omega, _raw(rho), _raw(rho))
         _assert_clause(check_representation(Representation(alg, m, rho)).clauses[0], sides, Matrix)
+
+
+# SHA-256 of the reports below, rendered as sorted JSON.  It was recorded from
+# the rational-matrix evaluation of the identities; any exact evaluation must
+# reproduce it byte for byte.
+REP_REPORTS_SHA256 = "ddf516aa8abab815bc896ce932f37ce6723977be66daec7736af9c01c655a3d0"
+
+
+def _report_case(rng, t):
+    """An algebra of dim n = 1-4 and one pair of families on an m-dim
+    carrier, m = 1-4, cycling through the constructions that pass: the form
+    acting as scalars, the adjoint pair, and its dual built by hand (the last
+    two with m = n), and random families.  Algebras are valid (a corpus
+    algebra or a dim-4 direct sum, scaled by one rational) or random; every
+    other case perturbs one member of the first family."""
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+    den = rng.randint(2, 9)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, den)))
+
+    if rng.random() < 0.6:
+        valid = corpus_algebras() + [
+            omega_lie(4, {(0, 1): [1, 0, 0, 0], (2, 3): [0, 0, 1, 0]}, r=[0] * 4),
+            abelian(4, Vector([1, 0, 0, 0])),
+        ]
+        base = rng.choice([a for a in valid if a.dim == n])
+        s = Fraction(rng.choice((1, -1, 3)), rng.choice((1, den)))
+        raw = [[[s * x for x in base.table[i][j]] for j in range(n)] for i in range(n)]
+        r = [s * x for x in base.r]
+    else:
+        raw = antisymmetrize([[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+        r = [entry() for _ in range(n)]
+    alg = OmegaLieAlgebra(n, vectors_from_raw(raw), r=Vector(r))
+    construction = t % 4
+    if construction == 0:
+        rho1 = rho2 = tuple(alg.r[i] * Matrix.identity(m) for i in range(n))
+    elif construction in (1, 2):
+        m, pair = n, adjoint_pair(alg)
+        rho1, rho2 = pair.rho1, pair.rho2
+        if construction == 2:
+            ident = Matrix.identity(n)
+            rho1 = tuple(-a.transpose() + (2 * r[i]) * ident for i, a in enumerate(rho1))
+            rho2 = tuple(-a.transpose() + (2 * r[i]) * ident for i, a in enumerate(rho2))
+    else:
+        rho1, rho2 = (
+            tuple(Matrix([[entry() for _ in range(m)] for _ in range(m)]) for _ in range(n))
+            for _ in range(2)
+        )
+    if t % 2:
+        k = rng.randrange(n)
+        bump = Matrix([[entry() for _ in range(m)] for _ in range(m)])
+        rho1 = tuple(a + bump if i == k else a for i, a in enumerate(rho1))
+    return alg, m, rho1, rho2
+
+
+def test_rep_reports_byte_stable():
+    """check_representation (multiplicative and explicit-omega flavors) and
+    check_gen_rep of every kind, over seeded cases at n, m = 1-4, render the
+    recorded bytes; every kind both passes and fails among them."""
+    rng = random.Random(1618)
+    digest = hashlib.sha256()
+    seen = set()
+    for t in range(160):
+        alg, m, rho1, rho2 = _report_case(rng, t)
+        n = alg.dim
+        omega = Matrix([[Fraction(rng.randint(-2, 2), 2) for _ in range(n)] for _ in range(n)])
+        reports = [
+            check_representation(Representation(alg, m, rho1)),
+            check_representation(
+                Representation(OmegaLieAlgebra(n, alg.table, omega=omega), m, rho1)
+            ),
+        ]
+        for kind in GenRepKind:
+            if kind is GenRepKind.ASSOCIATED_GEN_II and m != n:
+                continue
+            reports.append(check_gen_rep(GenRepPair(alg, m, rho1, rho2, kind)))
+            seen.add((kind, reports[-1].passed))
+        for report in reports:
+            digest.update(json.dumps(report.to_document(), sort_keys=True).encode())
+    assert seen == {(kind, verdict) for kind in GenRepKind for verdict in (True, False)}
+    assert digest.hexdigest() == REP_REPORTS_SHA256
