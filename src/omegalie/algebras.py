@@ -342,11 +342,9 @@ def admissible_subspace(algebra: OmegaLieAlgebra) -> Subspace:
     """ker r intersected with { x : r([x, e_j]) = 0 for all j }."""
     if not algebra.is_multiplicative:
         raise ValueError("admissible subspace is defined for the multiplicative flavor")
-    n = algebra.dim
-    rows = [list(algebra.r)]
-    for j in range(n):
-        rows.append([algebra.r.dot(algebra.table[i][j]) for i in range(n)])
-    return nullspace(Matrix(rows))
+    pull, _ = _pullback(algebra._ints)
+    # row j holds r([e_i, e_j]) over i; scaling rows leaves the kernel alone
+    return nullspace(Matrix([algebra._ints.r] + [list(col) for col in zip(*pull)]))
 
 
 def check_lsa(algebra: LeftSymmetricAlgebra) -> Report:

@@ -35,6 +35,14 @@ MAX_DIM = 16
 # 120 at MAX_DIM, so 4096 restarts (128 times the default) stay under 4 MB.
 MAX_RESTARTS = 4096
 
+# Most digits a rational's numerator or denominator may have.  Fraction("1eN")
+# builds 10^N, so the exponent's text is bounded before Fraction runs, and
+# the value after.  Products and sums of such values in the sweeps, the
+# constructions and the reported violations stay well below Python's limit
+# on integer-string conversion (4300 digits).
+MAX_RAT_DIGITS = 100
+_RAT_BOUND = 10**MAX_RAT_DIGITS
+
 
 def _fail(msg: str) -> None:
     raise BundleFormatError(msg)
@@ -61,12 +69,18 @@ def _parse_dim(doc: dict, key: str = "dim") -> int:
 
 
 def _parse_rat(value) -> Fraction:
+    shown = value[:40] if isinstance(value, str) else value
     if isinstance(value, bool):
-        _fail(f"bad rational {value!r}: a JSON boolean is not a number")
+        _fail(f"bad rational {shown!r}: a JSON boolean is not a number")
+    if isinstance(value, str) and len(value.lower().partition("e")[2]) > 4:
+        _fail(f"bad rational {shown!r}: exponent of more than four characters")
     try:
-        return rat(value)
+        out = rat(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise BundleFormatError(f"bad rational {value!r}: {exc}") from None
+        raise BundleFormatError(f"bad rational {shown!r}: {exc}") from None
+    if abs(out.numerator) >= _RAT_BOUND or out.denominator >= _RAT_BOUND:
+        _fail(f"bad rational {shown!r}: more than {MAX_RAT_DIGITS} digits")
+    return out
 
 
 def _parse_vector(value, n: int, what: str) -> Vector:
@@ -524,5 +538,5 @@ def load_path(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise BundleFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past Python's digit limit
         raise BundleFormatError(f"{path} is not valid JSON: {exc}") from None

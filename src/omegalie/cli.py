@@ -31,7 +31,7 @@ from .errors import (
     EmptyDecomposition,
     EmptyParameterSpace,
 )
-from .linalg import Vector, rat, rat_str
+from .linalg import Vector, rat_str
 from .operators import (
     check_o_operator,
     check_o_operator_gen,
@@ -198,10 +198,7 @@ def _parse_u_r(arg: str, n: int) -> Vector:
     parts = [p.strip() for p in arg.split(",")]
     if len(parts) != n:
         raise BundleFormatError(f"--u-r needs {n} comma-separated rationals")
-    try:
-        return Vector([rat(p) for p in parts])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BundleFormatError(f"bad --u-r value: {exc}") from None
+    return Vector([bundles._parse_rat(p) for p in parts])
 
 
 def cmd_check(args, config: ToolkitConfig) -> int:

@@ -1,12 +1,16 @@
 """Floating-point search for skew solutions of the twisted Yang-Baxter
 equation, with exact rationalization and re-verification.
 
-The search space is the span of wedge products of an admissible-subspace
-basis, so the component conditions and skew-symmetry hold by construction
-and the objective is a plain quartic least-squares problem in the span
-coordinates.  A float result never certifies anything: a candidate counts
-as a solution only after its rationalization re-verifies to an identically
-zero residual in the exact kernel.
+The search space is the span of the wedges W[a] ^ W[b] (a < b) of an
+admissible-subspace basis W, so the component conditions and
+skew-symmetry hold by construction and the objective is a plain quartic
+least-squares problem in the span coordinates.  The search sees only the
+float image of the wedges, built in numpy from the float image of W.
+Exact tensors are built only when rationalizing: the rationalized
+coordinates fill a skew matrix Q, and the candidate is W^T Q W on integer
+numerators.  A float result never certifies anything: a candidate counts
+as a solution only after its rationalization re-verifies to an
+identically zero residual in the exact kernel.
 
 The objective is a few matrix products.  The bilinear part of the residual
 pairs the slots of two 2-tensors x, y through the structure constants c in
@@ -34,8 +38,8 @@ import numpy as np
 
 from .algebras import OmegaLieAlgebra, admissible_subspace
 from .errors import DimensionMismatch, EmptyParameterSpace
-from .linalg import Vector, combine
-from .yang_baxter import TwoTensor, YbeContext, yb_residual
+from .linalg import Matrix, Vector, _int_matmul, _integer_numerators
+from .yang_baxter import TwoTensor, YbeContext, _residual_numerators
 
 
 @dataclass(frozen=True)
@@ -61,20 +65,24 @@ def skew_parameter_basis(algebra: OmegaLieAlgebra) -> list[TwoTensor]:
 
 @dataclass(frozen=True)
 class SolveProblem:
-    """Search problem: algebra, fixed distinguished element, options, and
-    the float image of everything the objective needs."""
+    """Search problem: algebra, fixed distinguished element, options, the
+    admissible basis W (rows of integer numerators over one denominator)
+    with the index pairs (a, b), a < b, of the wedges that span the search
+    space, and the float image of everything the objective needs."""
 
     algebra: OmegaLieAlgebra
     u_r: Vector
     options: SolveOptions
-    basis: tuple
+    admissible: list
+    admissible_den: int
+    pairs: tuple
     structure: np.ndarray
     basis_float: np.ndarray
     linear_basis: np.ndarray
 
     @property
     def parameter_dim(self) -> int:
-        return len(self.basis)
+        return len(self.pairs)
 
 
 def build_problem(
@@ -87,11 +95,17 @@ def build_problem(
         u_r = Vector.zero(n)
     if len(u_r) != n:
         raise DimensionMismatch("distinguished element must live in the algebra")
-    basis = tuple(skew_parameter_basis(algebra))
+    w, den = _integer_numerators(admissible_subspace(algebra).basis)
+    first, second = np.triu_indices(len(w), 1)
+    # int / int rounds the exact quotient, however large the common denominator
+    w_float = np.array([[x / den for x in row] for row in w]).reshape(len(w), n)
+    outer = w_float[first, :, None] * w_float[second, None, :]
+    # adding 0.0 turns the -0.0 of a vanishing difference into 0.0
+    basis_float = outer - outer.swapaxes(1, 2) + 0.0
     structure = np.array([[list(v) for v in row] for row in algebra.table], dtype=float)
-    basis_float = np.array([t.entries.rows for t in basis], dtype=float).reshape(len(basis), n, n)
     linear_basis = _tensor_linear(np.array([float(c) for c in u_r]), basis_float)
-    return SolveProblem(algebra, u_r, options, basis, structure, basis_float, linear_basis)
+    pairs = tuple(zip(first.tolist(), second.tolist()))
+    return SolveProblem(algebra, u_r, options, w, den, pairs, structure, basis_float, linear_basis)
 
 
 def _tensor_linear(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -164,11 +178,16 @@ def residual_gradient(problem: SolveProblem, coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SolveResult:
+    """The best restart's candidate, and every converged restart as
+    ``(coords, residual_norm, trace)`` in the order (residual, then
+    coordinates) in which they are rationalized."""
+
     best_coords: np.ndarray
     best_r_float: np.ndarray
     residual_norm: float
     converged: bool
     trace: list = field(default_factory=list)
+    converged_restarts: list = field(default_factory=list)
     rationalized: Optional[TwoTensor] = None
     exact_verified: bool = False
 
@@ -223,8 +242,8 @@ def _single_start(problem: SolveProblem, x0: np.ndarray) -> tuple[np.ndarray, fl
 def minimize(problem: SolveProblem) -> SolveResult:
     """Best candidate across seeded restarts; deterministic for a fixed seed.
 
-    Restart merging uses a lexicographic tie-break (residual, then
-    coordinates) so concurrent execution orders cannot change the result.
+    Restarts are ranked by a lexicographic key (residual, then coordinates)
+    so concurrent execution orders cannot change the result.
     """
     if problem.parameter_dim < 1:
         raise EmptyParameterSpace(
@@ -233,37 +252,55 @@ def minimize(problem: SolveProblem) -> SolveResult:
     opts = problem.options
     rng = np.random.default_rng(opts.seed)
     starts = rng.uniform(-1.0, 1.0, size=(opts.restarts, problem.parameter_dim))
-    best = None
-    for s in range(opts.restarts):
-        x, res, trace = _single_start(problem, starts[s])
-        key = (res, tuple(x))
-        if best is None or key < best[0]:
-            best = (key, x, res, trace)
-    _, x, res, trace = best
+    runs = sorted((_single_start(problem, x0) for x0 in starts), key=lambda run: (run[1], tuple(run[0])))
+    x, res, trace = runs[0]
     return SolveResult(
         best_coords=x,
         best_r_float=_coords_to_tensor(problem, x),
         residual_norm=res,
         converged=res < opts.residual_tolerance,
         trace=trace,
+        converged_restarts=[run for run in runs if run[1] < opts.residual_tolerance],
     )
 
 
+def _exact_tensor(problem: SolveProblem, coords: np.ndarray) -> TwoTensor:
+    """W^T Q W for the skew matrix Q of the coordinates rationalized with
+    the denominator bound, on integer numerators over one denominator."""
+    bound = problem.options.max_denominator
+    (q,), dq = _integer_numerators([[Fraction(float(c)).limit_denominator(bound) for c in coords]])
+    w = problem.admissible
+    skew = [[0] * len(w) for _ in w]
+    for (a, b), x in zip(problem.pairs, q):
+        skew[a][b], skew[b][a] = x, -x
+    nums = _int_matmul([list(col) for col in zip(*w)], _int_matmul(skew, w))
+    den = dq * problem.admissible_den**2
+    return TwoTensor(problem.algebra.dim, Matrix([[Fraction(x, den) for x in row] for row in nums]))
+
+
 def rationalize_verify(problem: SolveProblem, result: SolveResult) -> SolveResult:
-    """Continued-fraction rationalization of the converged coordinates with
-    a denominator bound, then exact re-verification of the residual.
+    """Continued-fraction rationalization of each converged restart's
+    coordinates with a denominator bound, then exact re-verification of the
+    residual; the first restart that certifies is reported.
 
     ``exact_verified`` is set only when the exact residual vanishes
-    identically and the tensor is exactly skew; otherwise the float
-    candidate is preserved and no rationalization is reported.
+    identically and the tensor is exactly skew, and then the coordinates,
+    residual and trace are those of the certified restart.  Otherwise the
+    best float candidate is preserved and no rationalization is reported.
     """
     if not result.converged:
         raise ValueError("only converged candidates are rationalized")
-    bound = problem.options.max_denominator
-    coords = [Fraction(float(c)).limit_denominator(bound) for c in result.best_coords]
-    exact = TwoTensor(problem.algebra.dim, combine([t.entries for t in problem.basis], coords))
     ctx = YbeContext(problem.algebra, problem.u_r)
-    residual = yb_residual(ctx, exact)
-    if residual.is_zero() and exact.is_skew():
-        return replace(result, rationalized=exact, exact_verified=True)
+    for coords, res, trace in result.converged_restarts:
+        exact = _exact_tensor(problem, coords)
+        if not any(_residual_numerators(ctx, exact)[0]) and exact.is_skew():
+            return replace(
+                result,
+                best_coords=coords,
+                best_r_float=_coords_to_tensor(problem, coords),
+                residual_norm=res,
+                trace=trace,
+                rationalized=exact,
+                exact_verified=True,
+            )
     return replace(result, rationalized=None, exact_verified=False)

@@ -6,6 +6,7 @@ checker and its oracle is evidence, not circularity.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def bracket_vec(c, x, y):
@@ -123,21 +124,36 @@ def lsa_violations(a, omega):
 
 
 def classical_cybe(c, rmat):
-    """Classical quadratic residual of a two-tensor, raw triple loops."""
+    """Classical quadratic residual of a two-tensor, raw loops.
+
+    For each output index p, with C_p the matrix c[.][.][p] and R = rmat,
+    the three slots hold R^T C_p R, R C_p R and R C_p R^T.  One index is
+    contracted at a time, on integer numerators over one denominator per
+    input, skipping zero structure constants.
+    """
     n = len(c)
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for p in range(n):
-                cab = c[a][b][p]
-                if not cab:
-                    continue
-                for i in range(n):
-                    for j in range(n):
-                        out[p][i][j] += cab * rmat[a][i] * rmat[b][j]
-                        out[i][p][j] += cab * rmat[i][a] * rmat[b][j]
-                        out[i][j][p] += cab * rmat[i][a] * rmat[j][b]
-    return out
+    dc = lcm(*(x.denominator for plane in c for row in plane for x in row))
+    dr = lcm(*(x.denominator for row in rmat for x in row))
+    cn = [[[x.numerator * (dc // x.denominator) for x in row] for row in plane] for plane in c]
+    rn = [[x.numerator * (dr // x.denominator) for x in row] for row in rmat]
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for p in range(n):
+        left = [[0] * n for _ in range(n)]  # (R^T C_p)[x][b] = sum_a r[a][x] c[a][b][p]
+        mid = [[0] * n for _ in range(n)]  # (R C_p)[x][b] = sum_a r[x][a] c[a][b][p]
+        for a in range(n):
+            for b in range(n):
+                cab = cn[a][b][p]
+                if cab:
+                    for x in range(n):
+                        left[x][b] += rn[a][x] * cab
+                        mid[x][b] += rn[x][a] * cab
+        for i in range(n):
+            for j in range(n):
+                out[p][i][j] += sum(left[i][b] * rn[b][j] for b in range(n))
+                out[i][p][j] += sum(mid[i][b] * rn[b][j] for b in range(n))
+                out[i][j][p] += sum(mid[i][b] * rn[j][b] for b in range(n))
+    den = dc * dr * dr
+    return [[[Fraction(v, den) for v in row] for row in plane] for plane in out]
 
 
 def classical_semidirect(c, rho):

@@ -12,7 +12,7 @@ from omegalie import bundles
 from omegalie.algebras import abelian
 from omegalie.bialgebra import dual_pair
 from omegalie.errors import BundleFormatError
-from omegalie.cli import run
+from omegalie.cli import KINDS, run
 from omegalie.linalg import Matrix, Vector
 from omegalie.representations import Representation, adjoint_pair, generalized_dual_pair
 from omegalie.yang_baxter import TwoTensor
@@ -209,11 +209,13 @@ def test_cli_check_fail(tmp_path, capsys):
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert run(["check", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error" in captured.err
+    # bad syntax, and an integer literal past Python's integer-string limit
+    for text in ("{not json", '{"kind": "omega_lie", "dim": 1, "bracket": [], "r": [%s]}' % ("1" * 5000)):
+        path.write_text(text)
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
 
 def _fixture_doc(name):
@@ -335,6 +337,11 @@ HOSTILE_INPUTS = {
     "scale-field-object": (_FROM_LSA, _with(_LSA_NC2, c={}), None),
     "scale-field-null": (_FROM_LSA, _with(_LSA_NC2, c=None), None),
     "two-tensor-algebra-dim-differs": ("construct dual-from-r", _with(_WEDGE_CTX, algebra=_LINE), None),
+    # Fraction("1eN") builds 10^N: for the first that takes without end,
+    # for the second it gives a value past Python's integer-string limit
+    "rational-exponent-huge": ("check", _with(_fixture_doc("b2"), r=["1e300000000", "0"]), None),
+    "rational-past-digit-bound": ("construct adjoint-pair", _with(_fixture_doc("b2"), r=["1e5000", "0"]), None),
+    "rational-digits-above-bound": ("check", _with(_fixture_doc("b2"), r=["1" * 101, "0"]), None),
 }
 
 
@@ -353,6 +360,50 @@ def test_cli_hostile_input_exit_2(case, tmp_path, capsys):
     assert captured.out == ""
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
+
+
+# The input of each construct recipe, every rational of which is replaced by
+# the largest value the loader accepts.
+_RECIPE_INPUTS = {
+    "dual-rep": _LINE_REP,
+    "adjoint-pair": _fixture_doc("b2"),
+    "gen-dual": _LINE_PAIR,
+    "semidirect": _LINE_REP,
+    "double": _DUAL,
+    "cobracket": _fixture_doc("b2"),
+    "dual-from-r": _WEDGE_CTX,
+    "lsa-from-o": _GOOD_T,
+    "lift-o": _GOOD_T,
+    "omega-lie-from-lsa": _LSA_NC2,
+}
+_LARGEST_RATIONAL = "-" + "9" * bundles.MAX_RAT_DIGITS + "/" + "9" * (bundles.MAX_RAT_DIGITS - 1) + "8"
+
+
+def _largest_rationals(value):
+    if isinstance(value, dict):
+        return {key: _largest_rationals(child) for key, child in value.items()}
+    if isinstance(value, list):
+        return [_largest_rationals(child) for child in value]
+    if isinstance(value, str) and value.lstrip("-").replace("/", "").isdigit():
+        return _LARGEST_RATIONAL
+    return value
+
+
+def test_largest_rational_through_every_construct_recipe(tmp_path, capsys):
+    assert sorted(_RECIPE_INPUTS) == sorted(KINDS["construct"])
+    path = tmp_path / "input.json"
+    for recipe, doc in _RECIPE_INPUTS.items():
+        doc = _largest_rationals(doc)
+        assert _LARGEST_RATIONAL in json.dumps(doc)
+        path.write_text(json.dumps(doc))
+        code = run(["construct", recipe, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1), (recipe, captured.err)
+        out = json.loads(captured.out)
+        if code == 1:
+            assert out["kind"] == "report"
+            assert "limit" not in captured.out  # no Python error rendered as a value
+        assert captured.err == ""
 
 
 # (fixture, command) pairs where the command is fed a document of a kind it
@@ -397,8 +448,9 @@ def test_cli_wrong_kind_exit_2(fixture, command, capsys):
 
 
 # Replacement values for the exit-code fuzzer: wrong types, empty blocks,
-# bools, and integers that are negative, zero, past the dimension cap or huge.
-_BAD_VALUES = [5, "x", [], {}, True, None, -1, 0, 17, 10**9, "2"]
+# bools, integers that are negative, zero, past the dimension cap or huge,
+# and rationals whose exponent makes them huge.
+_BAD_VALUES = [5, "x", [], {}, True, None, -1, 0, 17, 10**9, "2", "1e300000000", "1e5000"]
 # The cross-check that reads each fixture kind; solve is left out, since its
 # exit 1 means "did not converge" rather than a FAIL report.
 _VERIFY = {

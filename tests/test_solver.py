@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from omegalie.solver import (
 )
 from omegalie.yang_baxter import TwoTensor, YbeContext, yb_residual
 
-from conftest import make_ax2, make_b2, make_b2_plus_line, make_heisenberg
+from conftest import corpus_algebras, make_ax2, make_b2, make_b2_plus_line, make_heisenberg
 
 
 def _direct_sum(*parts):
@@ -126,7 +127,7 @@ def test_float_residual_matches_exact_kernel():
     problem = build_problem(algebra, u_r=Vector([0, 0, 1]))
     coords = [Fraction(1), Fraction(1, 2), Fraction(-2)]
     exact = TwoTensor.zero(3)
-    for q, basis_tensor in zip(coords, problem.basis):
+    for q, basis_tensor in zip(coords, skew_parameter_basis(algebra)):
         exact = exact + basis_tensor.scale(q)
     ctx = YbeContext(algebra, problem.u_r)
     expected = yb_residual(ctx, exact)
@@ -143,11 +144,12 @@ def test_float_residual_matches_exact_kernel_on_direct_sums(parts):
     n = algebra.dim
     problem = build_problem(algebra, u_r=Vector([(-1) ** i * (i + 1) for i in range(n)]))
     ctx = YbeContext(algebra, problem.u_r)
+    basis = skew_parameter_basis(algebra)
     rng = np.random.default_rng(n)
     for _ in range(3):
-        coords = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in problem.basis]
+        coords = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in basis]
         exact = TwoTensor.zero(n)
-        for q, basis_tensor in zip(coords, problem.basis):
+        for q, basis_tensor in zip(coords, basis):
             exact = exact + basis_tensor.scale(q)
         expected = yb_residual(ctx, exact)
         want = np.array([[[float(expected[i, j, k]) for k in range(n)] for j in range(n)] for i in range(n)])
@@ -219,3 +221,60 @@ def test_rationalize_dim3_solution_exact():
     else:
         # a float candidate that fails exact re-verification is preserved
         assert result.rationalized is None
+
+
+def test_solve_with_denominators_past_float_range():
+    # the admissible basis of ker r has common denominator q*s, whose square
+    # is past the float range
+    p, q, s = 10**99 + 7, 10**99 + 9, 10**99 + 13
+    algebra = abelian(3, Vector([Fraction(1, p), Fraction(1, q), Fraction(1, s)]))
+    problem = build_problem(algebra, options=SolveOptions(restarts=2))
+    assert problem.parameter_dim == 1 and np.isfinite(problem.basis_float).all()
+    assert rationalize_verify(problem, minimize(problem)).exact_verified
+
+
+def test_rationalize_falls_back_to_a_later_converged_restart():
+    # b2+heis3 at seed 1: the best restart's point admits no small-denominator
+    # fit, a later converged restart's point does
+    algebra = _direct_sum(make_b2(), make_heisenberg())
+    problem = build_problem(algebra, options=SolveOptions(seed=1, restarts=4))
+    result = minimize(problem)
+    residuals = [res for _, res, _ in result.converged_restarts]
+    assert len(residuals) > 1 and residuals == sorted(residuals)
+    assert result.converged_restarts[0][1] == result.residual_norm
+    verified = rationalize_verify(problem, result)
+    assert verified.exact_verified
+    assert not np.array_equal(verified.best_coords, result.best_coords)
+    coords, res, trace = next(run for run in result.converged_restarts if run[0] is verified.best_coords)
+    assert (verified.residual_norm, verified.trace) == (res, trace)
+    assert np.allclose(verified.best_r_float, np.tensordot(coords, problem.basis_float, 1))
+    assert yb_residual(YbeContext(algebra, problem.u_r), verified.rationalized).is_zero()
+    assert verified.rationalized.is_skew()
+
+
+# SHA-256 of the search arrays, the best coordinates and the certified
+# tensors of the seeded requests below, recorded before the float basis was
+# built in numpy; a change to any float the search sees changes it.
+SOLVE_DIGEST = "4a3b5d1fc932853af95fddf1acbe68db0f9f079c6b4a9abe56eed1b1495b01ad"
+
+
+def test_solve_requests_byte_stable():
+    algebras = [alg for alg in corpus_algebras() if skew_parameter_basis(alg)]
+    algebras += [_direct_sum(*(make() for make in parts)) for parts in DIRECT_SUMS]
+    digest = hashlib.sha256()
+    for algebra in algebras:
+        n = algebra.dim
+        for u_r in (Vector.zero(n), Vector.unit(n, 0)):
+            for seed in (1, 2):
+                problem = build_problem(algebra, u_r, SolveOptions(seed=seed, restarts=4))
+                for array in (problem.structure, problem.basis_float, problem.linear_basis):
+                    digest.update(array.tobytes())
+                result = minimize(problem)
+                digest.update(result.best_coords.tobytes())
+                if not result.converged:
+                    continue
+                verified = rationalize_verify(problem, result)
+                # only a tensor certified from the best restart is hashed
+                if verified.exact_verified and np.array_equal(verified.best_coords, result.best_coords):
+                    digest.update(repr(verified.rationalized.entries.rows).encode())
+    assert digest.hexdigest() == SOLVE_DIGEST
