@@ -34,8 +34,9 @@ CENTRAL_RULES = ("center", "zero")
 class IntTable(NamedTuple):
     """A bracket table and an optional linear form as integer numerators
     over one denominator: ``c[i*n + j][k] / den`` is the e_k coefficient of
-    [e_i, e_j], and ``r[k] / den`` the value of the form on e_k (``r`` is
-    None without a form)."""
+    [e_i, e_j], so ``c[i*n : i*n + n]`` are the columns of ad e_i, and
+    ``r[k] / den`` is the value of the form on e_k (``r`` is None without a
+    form)."""
 
     c: list
     r: Optional[list]

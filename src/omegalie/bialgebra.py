@@ -5,7 +5,8 @@ assembled bracket on their direct sum, the compatibility conditions that
 make it well-behaved, invariant pairings, and the cobracket obtained by
 dualizing the bracket of L*.  The compatibility conditions are implemented
 verbatim as independent residual evaluators; agreement with the assembled
-double is itself a checked property, not an assumption.
+double is itself a checked property, not an assumption.  Cobrackets and
+their cocycle terms are built on integer views, through one slot action.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebras import OmegaLieAlgebra, check_omega_lie
+from .algebras import IntTable, OmegaLieAlgebra, check_omega_lie
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, Vector, _int_matmul, _integer_numerators, combine, pad
+from .linalg import Matrix, Subspace, Vector, _int_matmul, _integer_numerators, _slot_action, combine, pad
 from .reports import Report
 from .representations import (
     GenRepPair,
     _dual_family,
     _matrices,
+    _matrix,
     adjoint_pair,
     check_gen_rep,
     generalized_dual_pair,
@@ -349,30 +351,50 @@ class CobracketDelta:
                 raise DimensionMismatch("component matrices must be dim x dim")
         object.__setattr__(self, "component", comps)
 
-    def of(self, x: Vector) -> Matrix:
-        return combine(self.component, x)
-
     @staticmethod
     def zero(n: int) -> "CobracketDelta":
         return CobracketDelta(n, tuple(Matrix.zero(n, n) for _ in range(n)))
 
 
-def _form_shift(rho: Vector, i: int, j: int, k: int) -> Fraction:
-    """Form terms of the cobracket: the coefficient delta_ik rho_j -
-    2 delta_jk rho_i that ``cobracket_of_dual`` adds at e_i (x) e_j in the
-    image of e_k, and ``dual_structure_from_r`` takes off again."""
-    return (rho[j] if i == k else 0) - (2 * rho[i] if j == k else 0)
+def _int_cobracket(t: IntTable) -> list:
+    """The cobracket dualizing a multiplicative integer view, one component
+    per e_k, flat in C order over ``t.den``: entry (i, j) is c_ij^k plus the
+    form terms delta_ik rho_j - 2 delta_jk rho_i."""
+    n = len(t.r)
+    comps = [[row[k] for row in t.c] for k in range(n)]
+    for k, m in product(range(n), repeat=2):
+        comps[k][k * n + m] += t.r[m]
+        comps[k][m * n + k] -= 2 * t.r[m]
+    return comps
 
 
 def _cobracket(dual: OmegaLieAlgebra) -> CobracketDelta:
     """``cobracket_of_dual`` for a multiplicative structure that has been
     verified already."""
-    n, c, rho = dual.dim, dual.table, dual.r
-    comps = [
-        Matrix([[c[i][j][k] + _form_shift(rho, i, j, k) for j in range(n)] for i in range(n)])
-        for k in range(n)
-    ]
-    return CobracketDelta(n, tuple(comps))
+    n, den = dual.dim, dual._ints.den
+    return CobracketDelta(n, tuple(_matrix(comp, den, n) for comp in _int_cobracket(dual._ints)))
+
+
+def _ad2_columns(t: IntTable, x: int) -> list:
+    """The columns of the second adjoint operator of e_x over ``t.den``:
+    column p is [e_x, e_p] + r(e_p) e_x."""
+    n = len(t.r)
+    return [[a + (t.r[p] if i == x else 0) for i, a in enumerate(t.c[x * n + p])] for p in range(n)]
+
+
+def _cocycle_terms(t: IntTable, delta: list):
+    """The terms every cocycle check shares, at each basis pair (i, j):
+    numerators of delta([e_i, e_j]) and of S(ad2_i, delta_j) - S(ad2_j, delta_i)
+    over ``t.den`` times the denominator of ``delta``, the cobracket's
+    components flat in C order; S is the slot action."""
+    n = len(delta)
+    d_brackets = _int_matmul(t.c, delta)
+    ad2 = [_ad2_columns(t, x) for x in range(n)]
+    acted = [[_slot_action(cols, d, n, 2) for d in delta] for cols in ad2]
+    for i in range(n):
+        for j in range(n):
+            moved = [a - b for a, b in zip(acted[i][j], acted[j][i])]
+            yield i, j, d_brackets[i * n + j], moved
 
 
 def cobracket_of_dual(dual: OmegaLieAlgebra) -> CobracketDelta:
@@ -407,32 +429,23 @@ def check_mult_bialgebra(dp: DualPair) -> Report:
 
 def _check_bialgebra_side(dp: DualPair, prefix: str) -> Report:
     n = dp.algebra.dim
-    L = dp.algebra
-    delta = _cobracket(dp.dual)
-    ad2 = adjoint_pair(L).rho2
+    t, dual = dp.algebra._ints, dp.dual._ints
+    r, delta, rho = t.r, _int_cobracket(dual), dual.r  # rho: u over dual.den
     pi1, pi2 = dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2
-    r, u = L.r, dp.u_r
-    basis = [Vector.unit(n, i) for i in range(n)]
-
+    u = dp.u_r
+    ad2_u = [_slot_action(_ad2_columns(t, x), rho, n, 1) for x in range(n)]
     report = Report("bialgebra conditions")
     cond1 = report.clause(prefix + "cobracket-cocycle")
-    for i in range(n):
-        for j in range(n):
-            d_bracket = delta.of(L.table[i][j])
-            di, dj = delta.component[i], delta.component[j]
-            res = (
-                d_bracket
-                - dj @ ad2[i].transpose()
-                - ad2[i] @ dj
-                + di @ ad2[j].transpose()
-                + ad2[j] @ di
-                - 2 * r[j] * di
-                + 2 * r[i] * dj
-                - (ad2[i].apply(u) - 2 * r[i] * u).outer(basis[j])
-                + (ad2[j].apply(u) - 2 * r[j] * u).outer(basis[i])
-            )
-            if not res.is_zero():
-                cond1.add((i, j), res, Matrix.zero(n, n))
+    for i, j, d_bracket, moved in _cocycle_terms(t, delta):
+        res = [
+            b - m - 2 * r[j] * di + 2 * r[i] * dj
+            for b, m, di, dj in zip(d_bracket, moved, delta[i], delta[j])
+        ]
+        for a in range(n):  # the terms (ad2_x u - 2 r_x u) (x) e_y
+            res[a * n + j] -= ad2_u[i][a] - 2 * r[i] * rho[a]
+            res[a * n + i] += ad2_u[j][a] - 2 * r[j] * rho[a]
+        if any(res):
+            cond1.add((i, j), _matrix(res, t.den * dual.den, n), Matrix.zero(n, n))
 
     cond2 = report.clause(prefix + "cobracket-pairing-with-u")
     for a in range(n):
@@ -441,7 +454,7 @@ def _check_bialgebra_side(dp: DualPair, prefix: str) -> Report:
                 pi2_b_k = pi2[b].column(k)
                 pi2_a_k = pi2[a].column(k)
                 res = (
-                    delta.component[k][a, b] * u
+                    Fraction(delta[k][a * n + b], dual.den) * u
                     + 2 * u[a] * pi2_b_k
                     + 2 * u[b] * pi1[a].column(k)
                     - 2 * u[a] * pi1[b].column(k)

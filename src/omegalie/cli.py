@@ -13,11 +13,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import __version__, bundles
-from .algebras import (
-    check_generalized,
-    check_lsa,
-    check_omega_lie,
-)
+from .algebras import central_elements, check_generalized, check_lsa, check_omega_lie
 from .bialgebra import (
     check_dual_pair,
     cobracket_of_dual,
@@ -194,6 +190,14 @@ def _tensor_context(bundle, what: str) -> YbeContext:
     return YbeContext(bundle.algebra, bundle.u_r or Vector.zero(bundle.tensor.dim))
 
 
+def _eligible(ctx: YbeContext, config: ToolkitConfig) -> YbeContext:
+    """``ctx``, if its distinguished element lies in the pool of the
+    configured central rule: the hypothesis of the Yang-Baxter constructions."""
+    if not central_elements(ctx.algebra, config.central_rule).contains(ctx.u_r):
+        raise BundleFormatError(f"u_r is not eligible under central_rule {config.central_rule!r}")
+    return ctx
+
+
 def _parse_u_r(arg: str, n: int) -> Vector:
     parts = [p.strip() for p in arg.split(",")]
     if len(parts) != n:
@@ -297,7 +301,7 @@ def cmd_yb(args, config: ToolkitConfig) -> int:
     elif args.operation == "lemma42":
         report = check_derivation_identity(ctx, tensor, scope=config.jac_scope)
     else:
-        report = check_yb_bialgebra(ctx, tensor)
+        report = check_yb_bialgebra(_eligible(ctx, config), tensor)
     return _finish_report(report, config, args.out)
 
 
@@ -307,7 +311,7 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
     if theorem == "thm-3.8":
         report = crosscheck_equivalence(obj)
     elif theorem == "thm-4.4":
-        ctx = _tensor_context(obj, theorem)
+        ctx = _eligible(_tensor_context(obj, theorem), config)
         conditions = solution_conditions(ctx, obj.tensor)
         dual = dual_structure_from_r(ctx, obj.tensor)
         axioms = check_omega_lie(dual)
@@ -341,6 +345,7 @@ def cmd_solve(args, config: ToolkitConfig, deterministic: bool) -> int:
     from .solver import build_problem, minimize, rationalize_verify
 
     _, req = _read(args.infile, KINDS["solve"])
+    _eligible(YbeContext(req.algebra, req.u_r), config)
     options = bundles.solve_options(config.solver or {}, req.options)
     if deterministic:
         options = replace(options, seed=1)

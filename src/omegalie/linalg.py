@@ -57,6 +57,23 @@ def _int_matmul(a: list, b: list) -> list:
     return out
 
 
+def _slot_action(cols: list, t: list, n: int, order: int) -> list:
+    """Numerators of the derivation action of an integer operator, given by
+    its columns, on every slot of a tensor of the given order flat in C
+    order: A x for order 1, A X + X A^T for order 2."""
+    out = [0] * len(t)
+    strides = [n**s for s in range(order)]
+    for idx, v in enumerate(t):
+        if v:
+            for stride in strides:
+                p = idx // stride % n
+                base = idx - p * stride
+                for i, a in enumerate(cols[p]):
+                    if a:
+                        out[base + i * stride] += a * v
+    return out
+
+
 def rat_str(value: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:

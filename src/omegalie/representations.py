@@ -73,10 +73,10 @@ def _matrix(flat: list, den: int, m: int) -> Matrix:
     return Matrix([[Fraction(x, den) for x in flat[p * m : p * m + m]] for p in range(m)])
 
 
-def _built(obj, fams: IntFamilies):
-    """``obj``, built from the matrices of ``fams``, keeping ``fams`` as its
-    integer view."""
-    obj.__dict__["_ints"] = fams
+def _built(obj, view):
+    """``obj``, built from the values of an integer view (an ``IntFamilies``
+    or an ``IntTable``), keeping ``view`` as its integer view."""
+    obj.__dict__["_ints"] = view
     return obj
 
 

@@ -102,7 +102,8 @@ def build_problem(
     outer = w_float[first, :, None] * w_float[second, None, :]
     # adding 0.0 turns the -0.0 of a vanishing difference into 0.0
     basis_float = outer - outer.swapaxes(1, 2) + 0.0
-    structure = np.array([[list(v) for v in row] for row in algebra.table], dtype=float)
+    ints = algebra._ints
+    structure = np.array([[x / ints.den for x in row] for row in ints.c]).reshape(n, n, n)
     linear_basis = _tensor_linear(np.array([float(c) for c in u_r]), basis_float)
     pairs = tuple(zip(first.tolist(), second.tolist()))
     return SolveProblem(algebra, u_r, options, w, den, pairs, structure, basis_float, linear_basis)
@@ -283,16 +284,19 @@ def rationalize_verify(problem: SolveProblem, result: SolveResult) -> SolveResul
     coordinates with a denominator bound, then exact re-verification of the
     residual; the first restart that certifies is reported.
 
-    ``exact_verified`` is set only when the exact residual vanishes
-    identically and the tensor is exactly skew, and then the coordinates,
-    residual and trace are those of the certified restart.  Otherwise the
-    best float candidate is preserved and no rationalization is reported.
+    ``exact_verified`` is set only when the exact tensor is nonzero (zero
+    solves the equation for every u_r), its residual vanishes identically
+    and it is exactly skew; then the coordinates, residual and trace are
+    those of the certified restart.  Otherwise the best float candidate is
+    preserved and no rationalization is reported.
     """
     if not result.converged:
         raise ValueError("only converged candidates are rationalized")
     ctx = YbeContext(problem.algebra, problem.u_r)
     for coords, res, trace in result.converged_restarts:
         exact = _exact_tensor(problem, coords)
+        if exact.entries.is_zero():
+            continue
         if not any(_residual_numerators(ctx, exact)[0]) and exact.is_skew():
             return replace(
                 result,

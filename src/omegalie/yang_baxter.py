@@ -4,7 +4,9 @@ from its solutions.
 The quadratic residual is always computed from the coordinate matrix of the
 two-tensor, never from a chosen decomposition; the literal symbol-by-symbol
 tensor form is kept as a separate, deliberately decomposition-sensitive
-operation so the two routes can be compared.
+operation so the two routes can be compared.  The dual read off a tensor,
+an integer view built by the slot action of each adjoint operator, is the
+one source of the induced cobracket, the hypothesis and the cocycle check.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import OmegaLieAlgebra, admissible_subspace, central_elements
-from .bialgebra import CobracketDelta, _form_shift
+from .algebras import IntTable, OmegaLieAlgebra, admissible_subspace, central_elements
+from .bialgebra import CobracketDelta, _cobracket, _cocycle_terms, _int_cobracket
 from .errors import DimensionMismatch, EmptyDecomposition
 from .linalg import (
     Matrix,
@@ -22,9 +24,11 @@ from .linalg import (
     Vector,
     _int_matmul,
     _integer_numerators,
+    _slot_action,
     rank_one,
 )
 from .reports import Report
+from .representations import _built, _matrix
 
 # Scope of the cyclic sum in the co-Jacobiator: "all" rotates the whole
 # four-term expression (the reading under which the derivation identity of
@@ -185,24 +189,9 @@ def _residual_numerators(ctx: YbeContext, tensor: TwoTensor) -> tuple[list, int]
 
 
 def delta_from_r(ctx: YbeContext, tensor: TwoTensor) -> CobracketDelta:
-    """Cobracket induced by the two-tensor: the one-slot derivation action
-    of each basis element, shifted by the distinguished element."""
-    alg = ctx.algebra
-    n = alg.dim
-    if tensor.dim != n:
-        raise DimensionMismatch("tensor and algebra dimensions differ")
-    u = ctx.u_r
-    comps = []
-    for k in range(n):
-        a_k = alg.ad1(k)
-        e_k = Vector.unit(n, k)
-        comps.append(
-            a_k @ tensor.entries
-            + tensor.entries @ a_k.transpose()
-            - 2 * e_k.outer(u)
-            + u.outer(e_k)
-        )
-    return CobracketDelta(n, tuple(comps))
+    """Cobracket induced by the two-tensor: the derivation action of each
+    basis element on it, shifted by u; the cobracket of the dual read off it."""
+    return _cobracket(dual_structure_from_r(ctx, tensor))
 
 
 def jac_delta(
@@ -260,33 +249,17 @@ def ad_x_t3(algebra: OmegaLieAlgebra, x_index: int, tensor: ThreeTensor) -> Thre
     pairs, dc = algebra._ints.c, algebra._ints.den
     t_rows, dt = _integer_numerators(row for plane in tensor.entries for row in plane)
     t = [e for row in t_rows for e in row]
-    return _three_tensor(_adjoint_action(_adjoint_columns(pairs, x_index), t, n), dc * dt, n)
+    acted = _slot_action(pairs[x_index * n : x_index * n + n], t, n, 3)
+    return _three_tensor(acted, dc * dt, n)
 
 
-def _adjoint_columns(pairs: list, x: int) -> list:
-    """Nonzero entries (i, value) of each column p of ad e_x, which is the
-    bracket row of (e_x, e_p)."""
-    n = len(pairs[0])
-    return [[(i, a) for i, a in enumerate(pairs[x * n + p]) if a] for p in range(n)]
-
-
-def _adjoint_action(cols: list, t: list, n: int) -> list:
-    """Numerators of the slot-wise action of an adjoint operator, given by
-    its nonzero columns, on an order-3 tensor flat in C order."""
-    nn = n * n
-    out = [0] * (n * nn)
-    for idx, v in enumerate(t):
-        if not v:
-            continue
-        p, rest = divmod(idx, nn)
-        q, s = divmod(rest, n)
-        for i, a in cols[p]:
-            out[i * nn + rest] += a * v
-        for j, a in cols[q]:
-            out[idx + (j - q) * n] += a * v
-        for k, a in cols[s]:
-            out[idx + k - s] += a * v
-    return out
+def _moved_symmetrized(ctx: YbeContext, tensor: TwoTensor) -> tuple[list, int]:
+    """The invariance hypothesis: ad_x sym + sym ad_x^T, sym = R + R^T, for
+    each e_x as numerators flat in C order over one denominator.  It is the
+    symmetric part of the dual's bracket read off R: the form terms cancel."""
+    (c, _, den), n = _dual_ints(ctx, tensor), ctx.algebra.dim
+    mirrored = [(i * n + j, j * n + i) for i in range(n) for j in range(n)]
+    return [[c[ij][x] + c[ji][x] for ij, ji in mirrored] for x in range(n)], den
 
 
 def check_derivation_identity(
@@ -307,13 +280,8 @@ def check_derivation_identity(
     n = alg.dim
     report = Report("derivation identity")
     report.meta["jac_scope"] = scope
-    sym = tensor.entries + tensor.entries.transpose()
-    failing = []
-    for x in range(n):
-        a_x = alg.ad1(x)
-        moved = a_x @ sym + sym @ a_x.transpose()
-        if not moved.is_zero():
-            failing.append(x + 1)
+    moved, _ = _moved_symmetrized(ctx, tensor)
+    failing = [x + 1 for x in range(n) if any(moved[x])]
     report.meta["hypothesis_fails_at"] = failing
     equality = report.clause("cojacobiator-matches-adjoint-action")
     if not failing:
@@ -328,24 +296,38 @@ def check_derivation_identity(
 
 
 def dual_structure_from_r(ctx: YbeContext, tensor: TwoTensor) -> OmegaLieAlgebra:
-    """Bracket and linear form on the dual space read off from the induced
-    cobracket by coefficient extraction.
+    """Bracket and linear form on the dual space read off from the tensor,
+    keeping the integer view it is built from.
 
     No axiom is asserted: whether the result satisfies the twisted axioms is
     exactly the content of the two solution conditions, checked separately.
     """
-    n = ctx.algebra.dim
+    t, n = _dual_ints(ctx, tensor), ctx.algebra.dim
+    table = [[[Fraction(x, t.den) for x in v] for v in t.c[i * n : i * n + n]] for i in range(n)]
+    dual = OmegaLieAlgebra(n, table, r=ctx.u_r, label=f"dual-of({ctx.algebra.label or 'L'})")
+    return _built(dual, t)
+
+
+def _dual_ints(ctx: YbeContext, tensor: TwoTensor) -> IntTable:
+    """The integer view of the dual read off the tensor R: the e_k
+    coefficient of [e_i, e_j] is the slot action of ad e_k on R at (i, j),
+    minus 3 delta_ik u_j, plus 3 delta_jk u_i; the form is u."""
+    alg = ctx.algebra
+    n = alg.dim
     if tensor.dim != n:
         raise DimensionMismatch("tensor and algebra dimensions differ")
-    delta = delta_from_r(ctx, tensor)
-    u = ctx.u_r
-    comps = delta.component
-    table = [
-        [Vector(comps[m][i, j] - _form_shift(u, i, j, m) for m in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    label_core = ctx.algebra.label or "L"
-    return OmegaLieAlgebra(n, table, r=u, label=f"dual-of({label_core})")
+    r_rows, dr = _integer_numerators(tensor.entries.rows)
+    (u,), du = _integer_numerators([ctx.u_r])
+    flat = [x for row in r_rows for x in row]
+    pairs, dc = alg._ints.c, alg._ints.den
+    acted = [_slot_action(pairs[k * n : k * n + n], flat, n, 2) for k in range(n)]
+    c = [[acted[k][ij] * du for k in range(n)] for ij in range(n * n)]
+    scale = dc * dr
+    for k in range(n):
+        for m in range(n):
+            c[k * n + m][k] -= 3 * scale * u[m]
+            c[m * n + k][k] += 3 * scale * u[m]
+    return IntTable(c, [x * scale for x in u], scale * du)
 
 
 def solution_conditions(ctx: YbeContext, tensor: TwoTensor) -> Report:
@@ -356,23 +338,14 @@ def solution_conditions(ctx: YbeContext, tensor: TwoTensor) -> Report:
     n = alg.dim
     report = Report("solution conditions")
     residual, d_res = _residual_numerators(ctx, tensor)
+    moved, d_moved = _moved_symmetrized(ctx, tensor)
     pairs, dc = alg._ints.c, alg._ints.den
-    r_rows, dr = _integer_numerators(tensor.entries.rows)
-    sym = [[r_rows[i][j] + r_rows[j][i] for j in range(n)] for i in range(n)]
     cond_i = report.clause("symmetrized-tensor-invariant")
     cond_ii = report.clause("adjoint-action-annihilates-residual")
     for x in range(n):
-        ad_x = [list(row) for row in zip(*pairs[x * n : x * n + n])]
-        # ad_x sym + sym ad_x^T is m + m^T with m = ad_x sym, as sym is symmetric
-        m = _int_matmul(ad_x, sym)
-        moved = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-        if any(map(any, moved)):
-            cond_i.add(
-                (x,),
-                Matrix([[Fraction(v, dc * dr) for v in row] for row in moved]),
-                Matrix.zero(n, n),
-            )
-        acted = _adjoint_action(_adjoint_columns(pairs, x), residual, n)
+        if any(moved[x]):
+            cond_i.add((x,), _matrix(moved[x], d_moved, n), Matrix.zero(n, n))
+        acted = _slot_action(pairs[x * n : x * n + n], residual, n, 3)
         if any(acted):
             cond_ii.add((x,), _three_tensor(acted, dc * d_res, n), ThreeTensor.zero(n))
     return report
@@ -383,40 +356,26 @@ def check_yb_bialgebra(ctx: YbeContext, tensor: TwoTensor) -> Report:
     that holds for solutions coming from a two-tensor."""
     alg = ctx.algebra
     n = alg.dim
-    if tensor.dim != n:
-        raise DimensionMismatch("tensor and algebra dimensions differ")
-    delta = delta_from_r(ctx, tensor)
-    u = ctx.u_r
-    r = alg.r
-    from .representations import adjoint_pair
-
-    ad2 = adjoint_pair(alg).rho2
-    basis = [Vector.unit(n, i) for i in range(n)]
+    dual = _dual_ints(ctx, tensor)
+    c, r, dc = alg._ints
+    r_rows, dr = _integer_numerators(tensor.entries.rows)
+    (u,), du = _integer_numerators([ctx.u_r])
+    r_u = sum(a * b for a, b in zip(r, u))
+    scale = dc * dr  # both sides are over dc * dual.den = dc^2 dr du
     report = Report("cobracket compatibility from a two-tensor")
     clause = report.clause("cocycle-with-tensor-terms")
-    r_u = r.dot(u)
-    for i in range(n):
-        for j in range(n):
-            bracket = alg.table[i][j]
-            d_i, d_j = delta.component[i], delta.component[j]
-            lhs = delta.of(bracket)
-            rhs = (
-                ad2[i] @ d_j
-                + d_j @ ad2[i].transpose()
-                - ad2[j] @ d_i
-                - d_i @ ad2[j].transpose()
-                - (2 * r.dot(alg.table[j][i])) * tensor.entries
-                + (2 * r[j]) * basis[i].outer(u)
-                - (2 * r[i]) * basis[j].outer(u)
-                - u.outer(bracket)
-                - r[j] * u.outer(basis[i])
-                + r[i] * u.outer(basis[j])
-                + 2 * bracket.outer(u)
-                + (3 * r_u) * basis[j].outer(basis[i])
-                - (3 * r_u) * basis[i].outer(basis[j])
-            )
-            if lhs != rhs:
-                clause.add((i, j), lhs, rhs)
+    for i, j, lhs, rhs in _cocycle_terms(alg._ints, _int_cobracket(dual)):
+        t_ji = 2 * du * sum(a * b for a, b in zip(r, c[j * n + i]))  # 2 du r([e_j, e_i])
+        w = list(c[i * n + j])  # [e_i, e_j] + r_j e_i - r_i e_j
+        w[i] += r[j]
+        w[j] -= r[i]
+        for a in range(n):
+            for b in range(n):
+                rhs[a * n + b] += scale * (2 * w[a] * u[b] - u[a] * w[b]) - t_ji * r_rows[a][b]
+        rhs[j * n + i] += 3 * scale * r_u
+        rhs[i * n + j] -= 3 * scale * r_u
+        if lhs != rhs:
+            clause.add((i, j), _matrix(lhs, dc * dual.den, n), _matrix(rhs, dc * dual.den, n))
     return report
 
 

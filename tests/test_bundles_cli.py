@@ -17,7 +17,7 @@ from omegalie.linalg import Matrix, Vector
 from omegalie.representations import Representation, adjoint_pair, generalized_dual_pair
 from omegalie.yang_baxter import TwoTensor
 
-from conftest import FIXTURES, make_ax2, make_b2
+from conftest import FIXTURES, make_ax2, make_b2, make_b2_line_r3
 
 
 def load_fixture(name):
@@ -709,3 +709,42 @@ def test_non_solve_commands_do_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0] False"
+
+
+def _assert_ineligible(capsys, argv, rule="center"):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: u_r is not eligible under central_rule {rule!r}" in captured.err
+
+
+def test_cli_verify_thm_44_rejects_ineligible_u_r(tmp_path, capsys):
+    # b2+line-r3 has center span(e3); u_r = e2 is outside it, so the
+    # theorem's hypothesis fails and no verdict may be reported
+    alg = make_b2_line_r3()
+    tensor = TwoTensor.wedge(Vector.unit(3, 0), Vector.unit(3, 1))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(bundles.two_tensor_doc(tensor, alg, Vector.unit(3, 1))))
+    _assert_ineligible(capsys, ["verify", "thm-4.4", "--in", str(path)])
+
+
+def test_cli_yb_bialgebra_rejects_ineligible_u_r(tmp_path, capsys):
+    args = ["yb", "bialgebra", "--algebra", fixture_path("b2"), "--r-tensor", fixture_path("wedge")]
+    _assert_ineligible(capsys, args + ["--u-r", "1,0"])
+    # a nonzero central element is eligible under "center" but not under "zero"
+    apath = tmp_path / "a.json"
+    apath.write_text(json.dumps({"kind": "omega_lie", "dim": 2, "bracket": [], "r": ["0", "0"]}))
+    args = ["yb", "bialgebra", "--algebra", str(apath), "--r-tensor", fixture_path("wedge"), "--u-r", "1,0"]
+    assert run(args) == 0
+    capsys.readouterr()
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"central_rule": "zero"}))
+    _assert_ineligible(capsys, ["--config", str(cpath)] + args, rule="zero")
+
+
+def test_cli_solve_rejects_ineligible_u_r(tmp_path, capsys):
+    doc = _fixture_doc("solve_b2")
+    doc["u_r"] = ["1", "0"]
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(doc))
+    _assert_ineligible(capsys, ["solve", "--in", str(path)])
