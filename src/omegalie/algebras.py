@@ -8,7 +8,6 @@ tuples only; multilinearity makes that sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -74,7 +73,6 @@ def _as_bracket_table(dim: int, table) -> tuple:
     return rows
 
 
-@dataclass(frozen=True)
 class OmegaLieAlgebra:
     """Anticommutative algebra together with its twisting form.
 
@@ -84,20 +82,26 @@ class OmegaLieAlgebra:
     vectors.
     """
 
-    dim: int
-    table: tuple
-    r: Optional[Vector] = None
-    omega: Optional[Matrix] = None
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", _as_bracket_table(self.dim, self.table))
-        if (self.r is None) == (self.omega is None):
+    def __init__(
+        self, dim: int, table, r: Optional[Vector] = None, omega: Optional[Matrix] = None,
+        label: str = "",
+    ):
+        table = _as_bracket_table(dim, table)
+        if (r is None) == (omega is None):
             raise ValueError("exactly one of r and omega must be given")
-        if self.r is not None and len(self.r) != self.dim:
+        if r is not None and len(r) != dim:
             raise DimensionMismatch("r must have length dim")
-        if self.omega is not None and self.omega.shape != (self.dim, self.dim):
+        if omega is not None and omega.shape != (dim, dim):
             raise DimensionMismatch("omega must be dim x dim")
+        self.__dict__.update(dim=dim, table=table, r=r, omega=omega, label=label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OmegaLieAlgebra is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OmegaLieAlgebra) and (
+            self.dim, self.table, self.r, self.omega, self.label
+        ) == (other.dim, other.table, other.r, other.omega, other.label)
 
     @property
     def is_multiplicative(self) -> bool:
@@ -118,10 +122,6 @@ class OmegaLieAlgebra:
             return self.r.dot(self.table[i][j])
         return self.omega[i, j]
 
-    def ad1(self, i: int) -> Matrix:
-        """Matrix of y -> [e_i, y]."""
-        return Matrix.from_columns([self.table[i][j] for j in range(self.dim)])
-
 
 def abelian(dim: int, r: Optional[Vector] = None, label: str = "") -> OmegaLieAlgebra:
     """Abelian algebra, multiplicative with the given r (default 0)."""
@@ -129,22 +129,23 @@ def abelian(dim: int, r: Optional[Vector] = None, label: str = "") -> OmegaLieAl
     return OmegaLieAlgebra(dim, table, r=r if r is not None else Vector.zero(dim), label=label)
 
 
-@dataclass(frozen=True)
 class GeneralizedOmegaLieAlgebra:
     """Two-bracket structure: the first bracket anticommutative, the pair
     tied together by a twisted Jacobi identity through the linear form r."""
 
-    dim: int
-    table1: tuple
-    table2: tuple
-    r: Vector
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "table1", _as_bracket_table(self.dim, self.table1))
-        object.__setattr__(self, "table2", _as_bracket_table(self.dim, self.table2))
-        if len(self.r) != self.dim:
+    def __init__(self, dim: int, table1, table2, r: Vector, label: str = ""):
+        table1, table2 = _as_bracket_table(dim, table1), _as_bracket_table(dim, table2)
+        if len(r) != dim:
             raise DimensionMismatch("r must have length dim")
+        self.__dict__.update(dim=dim, table1=table1, table2=table2, r=r, label=label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GeneralizedOmegaLieAlgebra is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GeneralizedOmegaLieAlgebra) and (
+            self.dim, self.table1, self.table2, self.r, self.label
+        ) == (other.dim, other.table1, other.table2, other.r, other.label)
 
     @cached_property
     def _ints1(self) -> IntTable:
@@ -176,7 +177,6 @@ def _bilinear(table: tuple, x: Vector, y: Vector) -> Vector:
     return out
 
 
-@dataclass(frozen=True)
 class LeftSymmetricAlgebra:
     """Left-symmetric product with an optional twist.
 
@@ -184,20 +184,26 @@ class LeftSymmetricAlgebra:
     multiplicative with a linear form ``r`` and twist r(u.v) - r(v.u).
     """
 
-    dim: int
-    table: tuple
-    r: Optional[Vector] = None
-    omega: Optional[Matrix] = None
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", _as_bracket_table(self.dim, self.table))
-        if self.r is not None and self.omega is not None:
+    def __init__(
+        self, dim: int, table, r: Optional[Vector] = None, omega: Optional[Matrix] = None,
+        label: str = "",
+    ):
+        table = _as_bracket_table(dim, table)
+        if r is not None and omega is not None:
             raise ValueError("at most one of r and omega may be given")
-        if self.r is not None and len(self.r) != self.dim:
+        if r is not None and len(r) != dim:
             raise DimensionMismatch("r must have length dim")
-        if self.omega is not None and self.omega.shape != (self.dim, self.dim):
+        if omega is not None and omega.shape != (dim, dim):
             raise DimensionMismatch("omega must be dim x dim")
+        self.__dict__.update(dim=dim, table=table, r=r, omega=omega, label=label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LeftSymmetricAlgebra is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LeftSymmetricAlgebra) and (
+            self.dim, self.table, self.r, self.omega, self.label
+        ) == (other.dim, other.table, other.r, other.omega, other.label)
 
     @property
     def is_multiplicative(self) -> bool:

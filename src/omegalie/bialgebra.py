@@ -11,26 +11,33 @@ their cocycle terms are built on integer views, through one slot action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .algebras import IntTable, OmegaLieAlgebra, check_omega_lie
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, Vector, _int_matmul, _integer_numerators, _slot_action, combine, pad
+from .linalg import (
+    Matrix,
+    Subspace,
+    Vector,
+    _int_matmul,
+    _integer_numerators,
+    _matrix,
+    _slot_action,
+    combine,
+    pad,
+)
 from .reports import Report
 from .representations import (
     GenRepPair,
     _dual_family,
     _matrices,
-    _matrix,
     adjoint_pair,
     check_gen_rep,
     generalized_dual_pair,
 )
 
 
-@dataclass(frozen=True)
 class DualPair:
     """An algebra, a partner structure on its dual space, and the two
     operator pairs through which each acts on the other.
@@ -44,18 +51,25 @@ class DualPair:
     and the checkers that take a pair assume ``dual_pair`` verified it.
     """
 
-    algebra: OmegaLieAlgebra
-    dual: OmegaLieAlgebra
-    pair_on_dual: GenRepPair
-    pair_on_algebra: GenRepPair
-    u_r: Vector
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        if self.dual.dim != n:
+    def __init__(
+        self,
+        algebra: OmegaLieAlgebra,
+        dual: OmegaLieAlgebra,
+        pair_on_dual: GenRepPair,
+        pair_on_algebra: GenRepPair,
+        u_r: Vector,
+    ):
+        if dual.dim != algebra.dim:
             raise DimensionMismatch("algebra and dual must have equal dimension")
-        if self.u_r != u_r_of(self.dual):
+        if u_r != u_r_of(dual):
             raise AxiomViolation("u_r must carry the coefficients of the dual linear form")
+        self.__dict__.update(
+            algebra=algebra, dual=dual, pair_on_dual=pair_on_dual,
+            pair_on_algebra=pair_on_algebra, u_r=u_r,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DualPair is immutable")
 
 
 def u_r_of(dual: OmegaLieAlgebra) -> Vector:
@@ -231,11 +245,14 @@ def check_matched_pair(dp: DualPair) -> Report:
     return report
 
 
-@dataclass(frozen=True)
 class BilinearForm:
     """Symmetric pairing candidate on an algebra, stored as its Gram matrix."""
 
-    matrix: Matrix
+    def __init__(self, matrix: Matrix):
+        self.__dict__["matrix"] = matrix
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BilinearForm is immutable")
 
     @property
     def dim(self) -> int:
@@ -334,26 +351,26 @@ def check_manin_triple(
     return report
 
 
-@dataclass(frozen=True)
 class CobracketDelta:
     """Linear map from the algebra into its twofold tensor square, stored as
     one coefficient matrix per basis element."""
 
-    dim: int
-    component: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.component)
-        if len(comps) != self.dim:
+    def __init__(self, dim: int, component: tuple):
+        comps = tuple(component)
+        if len(comps) != dim:
             raise DimensionMismatch("one component matrix per basis element required")
         for m in comps:
-            if m.shape != (self.dim, self.dim):
+            if m.shape != (dim, dim):
                 raise DimensionMismatch("component matrices must be dim x dim")
-        object.__setattr__(self, "component", comps)
+        self.__dict__.update(dim=dim, component=comps)
 
-    @staticmethod
-    def zero(n: int) -> "CobracketDelta":
-        return CobracketDelta(n, tuple(Matrix.zero(n, n) for _ in range(n)))
+    def __setattr__(self, name, value):
+        raise AttributeError("CobracketDelta is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CobracketDelta) and (self.dim, self.component) == (
+            other.dim, other.component
+        )
 
 
 def _int_cobracket(t: IntTable) -> list:

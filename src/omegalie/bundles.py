@@ -10,19 +10,20 @@ contradictory duplicate entries are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .algebras import GeneralizedOmegaLieAlgebra, LeftSymmetricAlgebra, OmegaLieAlgebra
-from .bialgebra import CobracketDelta, DualPair, dual_pair
 from .errors import BundleFormatError
 from .linalg import Matrix, ThreeTensor, Vector, rat, rat_str
-from .representations import GenRepKind, GenRepPair, Representation
-from .yang_baxter import TwoTensor
 
+# Each parser and emitter imports the module of its kind on use, so that a
+# command loads only the modules its documents need.
 if TYPE_CHECKING:
+    from .bialgebra import CobracketDelta, DualPair
+    from .representations import GenRepPair, Representation
     from .solver import SolveOptions
+    from .yang_baxter import TwoTensor
 
 # Largest dim or carrier_dim a document may declare.  The sweeps take n^4
 # time and n^3 memory, and the loader allocates a dense table before it reads
@@ -274,6 +275,8 @@ def _operator_family_doc(mats: tuple, basis: list) -> dict:
 
 
 def parse_representation(doc: dict, algebra: Optional[OmegaLieAlgebra] = None) -> Representation:
+    from .representations import Representation
+
     if "algebra" in doc:
         algebra = parse_omega_lie(_require(doc, "algebra"))
     if algebra is None:
@@ -295,6 +298,8 @@ def representation_doc(rep: Representation, basis: Optional[list] = None) -> dic
 
 
 def parse_gen_rep_pair(doc: dict, algebra: Optional[OmegaLieAlgebra] = None) -> GenRepPair:
+    from .representations import GenRepKind, GenRepPair
+
     if "algebra" in doc:
         algebra = parse_multiplicative(_require(doc, "algebra"), "gen_rep_pair algebra")
     if algebra is None:
@@ -323,14 +328,17 @@ def gen_rep_pair_doc(pair: GenRepPair, basis: Optional[list] = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
 class TwoTensorBundle:
-    tensor: TwoTensor
-    algebra: Optional[OmegaLieAlgebra]
-    u_r: Optional[Vector]
+    def __init__(self, tensor: TwoTensor, algebra: Optional[OmegaLieAlgebra], u_r: Optional[Vector]):
+        self.__dict__.update(tensor=tensor, algebra=algebra, u_r=u_r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TwoTensorBundle is immutable")
 
 
 def parse_two_tensor(doc: dict) -> TwoTensorBundle:
+    from .yang_baxter import TwoTensor
+
     n = _parse_dim(doc)
     entries = _parse_matrix(_require(doc, "entries"), n, n, "entries")
     algebra = None
@@ -385,6 +393,8 @@ def cobracket_doc(delta: CobracketDelta, basis: Optional[list] = None) -> dict:
 
 
 def parse_cobracket(doc: dict) -> CobracketDelta:
+    from .bialgebra import CobracketDelta
+
     n = _parse_dim(doc)
     comps = _require(doc, "components")
     if not isinstance(comps, list) or len(comps) != n:
@@ -392,11 +402,12 @@ def parse_cobracket(doc: dict) -> CobracketDelta:
     return CobracketDelta(n, tuple(_parse_matrix(m, n, n, "component") for m in comps))
 
 
-@dataclass(frozen=True)
 class OOperatorBundle:
-    algebra: OmegaLieAlgebra
-    rep: object  # Representation or GenRepPair
-    t: Matrix
+    def __init__(self, algebra: OmegaLieAlgebra, rep: Representation | GenRepPair, t: Matrix):
+        self.__dict__.update(algebra=algebra, rep=rep, t=t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OOperatorBundle is immutable")
 
 
 def parse_o_operator(doc: dict) -> OOperatorBundle:
@@ -416,6 +427,8 @@ def parse_o_operator(doc: dict) -> OOperatorBundle:
 
 
 def o_operator_doc(algebra: OmegaLieAlgebra, rep, t: Matrix) -> dict:
+    from .representations import Representation
+
     if isinstance(rep, Representation):
         rep_doc = representation_doc(rep)
     else:
@@ -431,6 +444,8 @@ def o_operator_doc(algebra: OmegaLieAlgebra, rep, t: Matrix) -> dict:
 
 
 def parse_dual_pair(doc: dict) -> DualPair:
+    from .bialgebra import dual_pair
+
     algebra = parse_multiplicative(_require(doc, "algebra"), "dual_pair algebra")
     dual = parse_multiplicative(_require(doc, "dual"), "dual_pair dual")
     return dual_pair(algebra, dual)
@@ -444,11 +459,12 @@ def dual_pair_doc(dp: DualPair) -> dict:
     }
 
 
-@dataclass(frozen=True)
 class SolveRequest:
-    algebra: OmegaLieAlgebra
-    u_r: Vector
-    options: SolveOptions
+    def __init__(self, algebra: OmegaLieAlgebra, u_r: Vector, options: SolveOptions):
+        self.__dict__.update(algebra=algebra, u_r=u_r, options=options)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SolveRequest is immutable")
 
 
 def parse_solve_request(doc: dict) -> SolveRequest:
@@ -464,6 +480,8 @@ def solve_options(opts, base: SolveOptions) -> SolveOptions:
     """``base`` with the fields that ``opts`` names replaced, each coerced to
     the field's type; other keys are ignored.  Serves request options and
     config-file overrides alike."""
+    from dataclasses import fields, replace
+
     if not isinstance(opts, dict):
         _fail("options must be an object")
     changes = {}

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from . import __version__, bundles
 from .algebras import central_elements, check_generalized, check_lsa, check_omega_lie
-from .bialgebra import (
-    check_dual_pair,
-    cobracket_of_dual,
-    crosscheck_equivalence,
-    double_bracket,
-)
 from .errors import (
     AxiomViolation,
     BundleFormatError,
@@ -28,33 +22,12 @@ from .errors import (
     EmptyParameterSpace,
 )
 from .linalg import Vector, rat_str
-from .operators import (
-    check_o_operator,
-    check_o_operator_gen,
-    commutator_complement,
-    lift_o_operator,
-    lsa_from_o_operator,
-    omega_lie_from_lsa,
-)
 from .reports import Report
-from .representations import (
-    Representation,
-    adjoint_pair,
-    check_gen_rep,
-    check_representation,
-    dual_representation,
-    generalized_dual_pair,
-    semidirect_rep,
-)
-from .yang_baxter import (
-    YbeContext,
-    check_derivation_identity,
-    check_r_admissible,
-    check_yb_bialgebra,
-    dual_structure_from_r,
-    solution_conditions,
-    yb_residual,
-)
+
+# Each command imports the modules of its kind where it runs: a process
+# compiles only what its command uses.
+if TYPE_CHECKING:
+    from .yang_baxter import TwoTensor, YbeContext
 
 # The kind of document each command reads: construct by recipe, verify by
 # theorem, yb by option.  argparse takes its choices from here, and every
@@ -80,11 +53,12 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
 class ToolkitConfig:
-    jac_scope: str = "all"
-    central_rule: str = "center"
-    solver: dict = None
+    def __init__(self, jac_scope: str = "all", central_rule: str = "center", solver: dict = None):
+        self.__dict__.update(jac_scope=jac_scope, central_rule=central_rule, solver=solver)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ToolkitConfig is immutable")
 
     def meta(self) -> dict:
         return {
@@ -149,8 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(doc: dict, out_path) -> None:
     text = bundles.dumps(doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BundleFormatError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -178,6 +155,8 @@ def _read(path: str, *kinds: str) -> tuple:
 def _rep_operator(ob, what: str) -> tuple:
     """(algebra, representation, T) of an o_operator bundle whose operator
     acts through a representation, the only flavor ``what`` reads."""
+    from .representations import Representation
+
     if not isinstance(ob.rep, Representation):
         raise BundleFormatError(f"{what} needs a representation-flavor operator")
     return ob.algebra, ob.rep, ob.t
@@ -185,6 +164,8 @@ def _rep_operator(ob, what: str) -> tuple:
 
 def _tensor_context(bundle, what: str) -> YbeContext:
     """The Yang-Baxter context that a two_tensor bundle carries."""
+    from .yang_baxter import YbeContext
+
     if bundle.algebra is None:
         raise BundleFormatError(f"{what} needs an algebra block in the tensor bundle")
     return YbeContext(bundle.algebra, bundle.u_r or Vector.zero(bundle.tensor.dim))
@@ -195,6 +176,18 @@ def _eligible(ctx: YbeContext, config: ToolkitConfig) -> YbeContext:
     configured central rule: the hypothesis of the Yang-Baxter constructions."""
     if not central_elements(ctx.algebra, config.central_rule).contains(ctx.u_r):
         raise BundleFormatError(f"u_r is not eligible under central_rule {config.central_rule!r}")
+    return ctx
+
+
+def _admissible(ctx: YbeContext, tensor: TwoTensor, config: ToolkitConfig) -> YbeContext:
+    """``ctx``, if it is eligible and the components of ``tensor`` lie in the
+    admissible subspace: the hypotheses of the Yang-Baxter bialgebra."""
+    from .yang_baxter import check_r_admissible
+
+    if not check_r_admissible(_eligible(ctx, config), tensor, config.central_rule).passed:
+        raise BundleFormatError(
+            "the tensor is not admissible: its components leave the admissible subspace"
+        )
     return ctx
 
 
@@ -215,15 +208,24 @@ def cmd_check(args, config: ToolkitConfig) -> int:
     elif kind == "lsa":
         report = check_lsa(obj)
     elif kind == "representation":
+        from .representations import check_representation
+
         report = check_representation(obj)
     elif kind == "gen_rep_pair":
+        from .representations import check_gen_rep
+
         report = check_gen_rep(obj)
     elif kind == "o_operator":
+        from .operators import check_o_operator, check_o_operator_gen
+        from .representations import Representation
+
         if isinstance(obj.rep, Representation):
             report = check_o_operator(obj.algebra, obj.rep, obj.t)
         else:
             report = check_o_operator_gen(obj.algebra, obj.rep, obj.t)
     elif kind == "two_tensor":
+        from .yang_baxter import check_r_admissible
+
         report = Report("two-tensor properties")
         skew = report.clause("skew-symmetric")
         if not obj.tensor.is_skew():
@@ -232,6 +234,8 @@ def cmd_check(args, config: ToolkitConfig) -> int:
             ctx = _tensor_context(obj, "check")
             report.extend(check_r_admissible(ctx, obj.tensor, config.central_rule), "")
     elif kind == "dual_pair":
+        from .bialgebra import check_dual_pair
+
         report = check_dual_pair(obj)
     else:  # solve_request
         from .solver import build_problem  # numpy: only commands that search load it
@@ -248,26 +252,46 @@ def cmd_construct(args, config: ToolkitConfig) -> int:
     doc, obj = _read(args.infile, KINDS["construct"][recipe])
     try:
         if recipe == "dual-rep":
+            from .representations import dual_representation
+
             out = bundles.representation_doc(dual_representation(obj))
         elif recipe == "adjoint-pair":
+            from .representations import adjoint_pair
+
             out = bundles.gen_rep_pair_doc(adjoint_pair(obj))
         elif recipe == "gen-dual":
+            from .representations import generalized_dual_pair
+
             out = bundles.gen_rep_pair_doc(generalized_dual_pair(obj))
         elif recipe == "semidirect":
+            from .representations import semidirect_rep
+
             out = bundles.omega_lie_doc(semidirect_rep(obj))
         elif recipe == "double":
+            from .bialgebra import double_bracket
+
             out = bundles.omega_lie_doc(double_bracket(obj))
         elif recipe == "cobracket":
+            from .bialgebra import cobracket_of_dual
+
             out = bundles.cobracket_doc(cobracket_of_dual(obj))
         elif recipe == "dual-from-r":
+            from .yang_baxter import dual_structure_from_r
+
             ctx = _tensor_context(obj, recipe)
             out = bundles.omega_lie_doc(dual_structure_from_r(ctx, obj.tensor))
         elif recipe == "lsa-from-o":
+            from .operators import lsa_from_o_operator
+
             out = bundles.lsa_doc(lsa_from_o_operator(*_rep_operator(obj, recipe)))
         elif recipe == "lift-o":
+            from .operators import lift_o_operator
+
             ambient, tensor = lift_o_operator(*_rep_operator(obj, recipe))
             out = bundles.two_tensor_doc(tensor, ambient, Vector.zero(ambient.dim))
         else:  # omega-lie-from-lsa
+            from .operators import commutator_complement, omega_lie_from_lsa
+
             scale = bundles._parse_rat(args.scale if args.scale is not None else doc.get("c", 1))
             out = bundles.omega_lie_doc(omega_lie_from_lsa(obj, scale))
             _, complement = commutator_complement(obj)
@@ -283,6 +307,14 @@ def cmd_construct(args, config: ToolkitConfig) -> int:
 
 
 def cmd_yb(args, config: ToolkitConfig) -> int:
+    from .yang_baxter import (
+        YbeContext,
+        check_derivation_identity,
+        check_r_admissible,
+        check_yb_bialgebra,
+        yb_residual,
+    )
+
     _, alg = _read(args.algebra, KINDS["yb"]["--algebra"])
     if not alg.is_multiplicative:
         raise BundleFormatError("--algebra must give r, not omega")
@@ -301,7 +333,7 @@ def cmd_yb(args, config: ToolkitConfig) -> int:
     elif args.operation == "lemma42":
         report = check_derivation_identity(ctx, tensor, scope=config.jac_scope)
     else:
-        report = check_yb_bialgebra(_eligible(ctx, config), tensor)
+        report = check_yb_bialgebra(_admissible(ctx, tensor, config), tensor)
     return _finish_report(report, config, args.out)
 
 
@@ -309,9 +341,13 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
     theorem = args.theorem
     _, obj = _read(args.infile, KINDS["verify"][theorem])
     if theorem == "thm-3.8":
+        from .bialgebra import crosscheck_equivalence
+
         report = crosscheck_equivalence(obj)
     elif theorem == "thm-4.4":
-        ctx = _eligible(_tensor_context(obj, theorem), config)
+        from .yang_baxter import dual_structure_from_r, solution_conditions
+
+        ctx = _admissible(_tensor_context(obj, theorem), obj.tensor, config)
         conditions = solution_conditions(ctx, obj.tensor)
         dual = dual_structure_from_r(ctx, obj.tensor)
         axioms = check_omega_lie(dual)
@@ -324,6 +360,9 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
         report.meta["conditions_verdict"] = conditions.verdict
         report.meta["dual_axioms_verdict"] = axioms.verdict
     else:  # thm-5.18
+        from .operators import check_o_operator, lift_o_operator
+        from .yang_baxter import YbeContext, yb_residual
+
         operator_args = _rep_operator(obj, theorem)
         operator = check_o_operator(*operator_args)
         ambient, tensor = lift_o_operator(*operator_args)
@@ -342,7 +381,10 @@ def cmd_verify(args, config: ToolkitConfig) -> int:
 
 
 def cmd_solve(args, config: ToolkitConfig, deterministic: bool) -> int:
+    from dataclasses import replace
+
     from .solver import build_problem, minimize, rationalize_verify
+    from .yang_baxter import YbeContext
 
     _, req = _read(args.infile, KINDS["solve"])
     _eligible(YbeContext(req.algebra, req.u_r), config)
@@ -369,8 +411,15 @@ def cmd_solve(args, config: ToolkitConfig, deterministic: bool) -> int:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (BundleFormatError, DimensionMismatch, EmptyDecomposition, EmptyParameterSpace) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     try:
         config = load_config(args.config) if args.config else ToolkitConfig(solver={})
         if args.command == "check":
@@ -381,20 +430,12 @@ def run(argv) -> int:
             return cmd_yb(args, config)
         if args.command == "verify":
             return cmd_verify(args, config)
-        if args.command == "solve":
-            return cmd_solve(args, config, args.deterministic)
-        parser.error(f"unknown command {args.command!r}")
-    except BundleFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return cmd_solve(args, config, args.deterministic)
     except AxiomViolation as exc:
-        # a precondition that is itself a checked property failed
+        # a precondition that is itself a checked property failed; its
+        # report, like every other, may fail to be written
         report = _failure_report(args.command, str(exc))
         return _finish_report(report, ToolkitConfig(solver={}), args.out)
-    except (DimensionMismatch, EmptyDecomposition, EmptyParameterSpace) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2  # pragma: no cover
 
 
 def main() -> None:

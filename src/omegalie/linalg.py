@@ -43,6 +43,18 @@ def _integer_numerators(rows: Iterable[Iterable[Fraction]]) -> tuple[list, int]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
+def _matrix(flat: list, den: int, m: int) -> Matrix:
+    """An m x m rational matrix from numerators flat in C order."""
+    return Matrix([[Fraction(x, den) for x in flat[p * m : p * m + m]] for p in range(m)])
+
+
+def _built(obj, view):
+    """``obj``, built from the values of an integer view (an ``IntFamilies``
+    or an ``IntTable``), keeping ``view`` as its integer view."""
+    obj.__dict__["_ints"] = view
+    return obj
+
+
 def _int_matmul(a: list, b: list) -> list:
     """Product of two integer matrices given as row lists, skipping the
     zero entries of the left factor."""
@@ -220,15 +232,6 @@ class Matrix:
         return Matrix([c * a for a in row] for row in self.rows)
 
     __rmul__ = scale
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.shape[1] != other.shape[0]:
-            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        cols = other.transpose().rows
-        return Matrix(
-            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
-            for row in self.rows
-        )
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""

@@ -10,6 +10,7 @@ a semidirect product.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebras import (
     LeftSymmetricAlgebra,
@@ -30,7 +31,9 @@ from .representations import (
     check_representation,
     dual_representation,
 )
-from .yang_baxter import TwoTensor
+
+if TYPE_CHECKING:
+    from .yang_baxter import TwoTensor
 
 
 def _operator_shapes(algebra: OmegaLieAlgebra, carrier_dim: int, t: Matrix) -> None:
@@ -227,6 +230,8 @@ def lift_o_operator(
     distinguished element) exactly when the operator satisfies its
     transport identity; callers verify via the residual.
     """
+    from .yang_baxter import TwoTensor
+
     _operator_shapes(algebra, rep.carrier_dim, t)
     dual = dual_representation(rep)
     ambient = _semidirect_rep(dual, label=f"lift({algebra.label or 'L'})")

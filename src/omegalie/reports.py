@@ -7,14 +7,14 @@ be reproduced and diffed without rerunning the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Violation:
-    indices: tuple[int, ...]
-    lhs: str
-    rhs: str
+    def __init__(self, indices: tuple[int, ...], lhs: str, rhs: str):
+        d = self.__dict__  # the hot path of every sweep: no __setattr__ calls
+        d["indices"], d["lhs"], d["rhs"] = indices, lhs, rhs
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Violation is immutable")
 
     def to_document(self) -> dict:
         # 1-based indices in serialized documents, matching the file format.
@@ -25,12 +25,12 @@ class Violation:
         }
 
 
-@dataclass
 class Clause:
     """One checked identity, with its violations (empty means the clause holds)."""
 
-    name: str
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self, name: str, violations: list[Violation] | None = None):
+        self.name = name
+        self.violations = [] if violations is None else violations
 
     def add(self, indices: tuple[int, ...], lhs, rhs) -> None:
         self.violations.append(Violation(tuple(indices), repr(lhs), repr(rhs)))
@@ -51,13 +51,13 @@ class Clause:
         }
 
 
-@dataclass
 class Report:
     """Outcome of one check: a titled bundle of clauses plus config metadata."""
 
-    title: str
-    clauses: list[Clause] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, title: str, clauses: list[Clause] | None = None, meta: dict | None = None):
+        self.title = title
+        self.clauses = [] if clauses is None else clauses
+        self.meta = {} if meta is None else meta
 
     def clause(self, name: str) -> Clause:
         c = Clause(name)

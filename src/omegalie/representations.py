@@ -7,7 +7,6 @@ so all checkers quantify over basis pairs only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +23,17 @@ from .algebras import (
     check_omega_lie,
 )
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Vector, _int_matmul, _integer_numerators, combine, pad, solve_linear
+from .linalg import (
+    Matrix,
+    Vector,
+    _built,
+    _int_matmul,
+    _integer_numerators,
+    _matrix,
+    combine,
+    pad,
+    solve_linear,
+)
 from .reports import Clause, Report
 
 
@@ -68,32 +77,20 @@ def _matrices(fams: IntFamilies) -> tuple:
     return tuple(tuple(_matrix(mat, den, m) for mat in fam) for fam in fams.mats)
 
 
-def _matrix(flat: list, den: int, m: int) -> Matrix:
-    """An m x m rational matrix from numerators flat in C order."""
-    return Matrix([[Fraction(x, den) for x in flat[p * m : p * m + m]] for p in range(m)])
-
-
-def _built(obj, view):
-    """``obj``, built from the values of an integer view (an ``IntFamilies``
-    or an ``IntTable``), keeping ``view`` as its integer view."""
-    obj.__dict__["_ints"] = view
-    return obj
-
-
-@dataclass(frozen=True)
 class Representation:
     """Single operator family rho on a carrier space."""
 
-    algebra: OmegaLieAlgebra
-    carrier_dim: int
-    rho: tuple
+    def __init__(self, algebra: OmegaLieAlgebra, carrier_dim: int, rho: tuple):
+        rho = _check_operator_family(algebra.dim, carrier_dim, rho, "rho")
+        self.__dict__.update(algebra=algebra, carrier_dim=carrier_dim, rho=rho)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "rho",
-            _check_operator_family(self.algebra.dim, self.carrier_dim, self.rho, "rho"),
-        )
+    def __setattr__(self, name, value):
+        raise AttributeError("Representation is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Representation) and (
+            self.algebra, self.carrier_dim, self.rho
+        ) == (other.algebra, other.carrier_dim, other.rho)
 
     @cached_property
     def _ints(self) -> IntFamilies:
@@ -109,56 +106,46 @@ class GenRepKind(Enum):
     ASSOCIATED_GEN_II = "associated_gen_ii"
 
 
-@dataclass(frozen=True)
 class GenRepPair:
     """Two operator families (rho1, rho2) replacing a single representation."""
 
-    algebra: OmegaLieAlgebra
-    carrier_dim: int
-    rho1: tuple
-    rho2: tuple
-    kind: GenRepKind
-
-    def __post_init__(self):
-        if not self.algebra.is_multiplicative:
+    def __init__(
+        self, algebra: OmegaLieAlgebra, carrier_dim: int, rho1: tuple, rho2: tuple, kind: GenRepKind
+    ):
+        if not algebra.is_multiplicative:
             raise ValueError("generalized representation pairs need the multiplicative flavor")
-        object.__setattr__(
-            self,
-            "rho1",
-            _check_operator_family(self.algebra.dim, self.carrier_dim, self.rho1, "rho1"),
-        )
-        object.__setattr__(
-            self,
-            "rho2",
-            _check_operator_family(self.algebra.dim, self.carrier_dim, self.rho2, "rho2"),
-        )
-        if self.kind is GenRepKind.ASSOCIATED_GEN_II and self.carrier_dim != self.algebra.dim:
+        rho1 = _check_operator_family(algebra.dim, carrier_dim, rho1, "rho1")
+        rho2 = _check_operator_family(algebra.dim, carrier_dim, rho2, "rho2")
+        if kind is GenRepKind.ASSOCIATED_GEN_II and carrier_dim != algebra.dim:
             raise DimensionMismatch("the associated kind lives on the dual of the algebra")
+        self.__dict__.update(algebra=algebra, carrier_dim=carrier_dim, rho1=rho1, rho2=rho2, kind=kind)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GenRepPair is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GenRepPair) and (
+            self.algebra, self.carrier_dim, self.rho1, self.rho2, self.kind
+        ) == (other.algebra, other.carrier_dim, other.rho1, other.rho2, other.kind)
 
     @cached_property
     def _ints(self) -> IntFamilies:
         return _int_families(self.carrier_dim, self.rho1, self.rho2)
 
 
-@dataclass(frozen=True)
 class SpecialRepII:
     """Second-kind representation data (rho1, rho2, f) of a two-bracket algebra."""
 
-    algebra: GeneralizedOmegaLieAlgebra
-    carrier_dim: int
-    rho1: tuple
-    rho2: tuple
-    f: tuple
+    def __init__(
+        self, algebra: GeneralizedOmegaLieAlgebra, carrier_dim: int, rho1: tuple, rho2: tuple, f: tuple
+    ):
+        rho1 = _check_operator_family(algebra.dim, carrier_dim, rho1, "rho1")
+        rho2 = _check_operator_family(algebra.dim, carrier_dim, rho2, "rho2")
+        f = _check_operator_family(algebra.dim, carrier_dim, f, "f")
+        self.__dict__.update(algebra=algebra, carrier_dim=carrier_dim, rho1=rho1, rho2=rho2, f=f)
 
-    def __post_init__(self):
-        for name in ("rho1", "rho2", "f"):
-            object.__setattr__(
-                self,
-                name,
-                _check_operator_family(
-                    self.algebra.dim, self.carrier_dim, getattr(self, name), name
-                ),
-            )
+    def __setattr__(self, name, value):
+        raise AttributeError("SpecialRepII is immutable")
 
     @cached_property
     def _ints(self) -> IntFamilies:

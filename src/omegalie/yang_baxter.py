@@ -11,24 +11,27 @@ one source of the induced cobracket, the hypothesis and the cocycle check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebras import IntTable, OmegaLieAlgebra, admissible_subspace, central_elements
-from .bialgebra import CobracketDelta, _cobracket, _cocycle_terms, _int_cobracket
 from .errors import DimensionMismatch, EmptyDecomposition
 from .linalg import (
     Matrix,
     Subspace,
     ThreeTensor,
     Vector,
+    _built,
     _int_matmul,
     _integer_numerators,
+    _matrix,
     _slot_action,
     rank_one,
 )
 from .reports import Report
-from .representations import _built, _matrix
+
+if TYPE_CHECKING:
+    from .bialgebra import CobracketDelta
 
 # Scope of the cyclic sum in the co-Jacobiator: "all" rotates the whole
 # four-term expression (the reading under which the derivation identity of
@@ -37,16 +40,21 @@ from .representations import _built, _matrix
 JAC_SCOPES = ("all", "first")
 
 
-@dataclass(frozen=True)
 class TwoTensor:
     """Element of the tensor square of the algebra, in coordinates."""
 
-    dim: int
-    entries: Matrix
-
-    def __post_init__(self):
-        if self.entries.shape != (self.dim, self.dim):
+    def __init__(self, dim: int, entries: Matrix):
+        if entries.shape != (dim, dim):
             raise DimensionMismatch("two-tensor entries must be dim x dim")
+        self.__dict__.update(dim=dim, entries=entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TwoTensor is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TwoTensor) and (self.dim, self.entries) == (
+            other.dim, other.entries
+        )
 
     @staticmethod
     def zero(n: int) -> "TwoTensor":
@@ -83,18 +91,18 @@ class TwoTensor:
         return Subspace.from_vectors(self.dim, [self.entries.row(a) for a in range(self.dim)])
 
 
-@dataclass(frozen=True)
 class YbeContext:
     """A multiplicative algebra with a fixed distinguished element."""
 
-    algebra: OmegaLieAlgebra
-    u_r: Vector
-
-    def __post_init__(self):
-        if not self.algebra.is_multiplicative:
+    def __init__(self, algebra: OmegaLieAlgebra, u_r: Vector):
+        if not algebra.is_multiplicative:
             raise ValueError("the residual machinery needs the multiplicative flavor")
-        if len(self.u_r) != self.algebra.dim:
+        if len(u_r) != algebra.dim:
             raise DimensionMismatch("distinguished element must live in the algebra")
+        self.__dict__.update(algebra=algebra, u_r=u_r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("YbeContext is immutable")
 
 
 def check_r_admissible(ctx: YbeContext, tensor: TwoTensor, central_rule: str = "center") -> Report:
@@ -191,6 +199,8 @@ def _residual_numerators(ctx: YbeContext, tensor: TwoTensor) -> tuple[list, int]
 def delta_from_r(ctx: YbeContext, tensor: TwoTensor) -> CobracketDelta:
     """Cobracket induced by the two-tensor: the derivation action of each
     basis element on it, shifted by u; the cobracket of the dual read off it."""
+    from .bialgebra import _cobracket
+
     return _cobracket(dual_structure_from_r(ctx, tensor))
 
 
@@ -354,6 +364,8 @@ def solution_conditions(ctx: YbeContext, tensor: TwoTensor) -> Report:
 def check_yb_bialgebra(ctx: YbeContext, tensor: TwoTensor) -> Report:
     """Compatibility of the induced cobracket with the bracket, in the form
     that holds for solutions coming from a two-tensor."""
+    from .bialgebra import _cocycle_terms, _int_cobracket
+
     alg = ctx.algebra
     n = alg.dim
     dual = _dual_ints(ctx, tensor)
@@ -379,13 +391,15 @@ def check_yb_bialgebra(ctx: YbeContext, tensor: TwoTensor) -> Report:
     return report
 
 
-@dataclass(frozen=True)
 class SymbolicTerm:
     """One summand of the literal tensor-form expansion: a coefficient and
     three slots, each either a vector or the formal unit (None)."""
 
-    coefficient: Fraction
-    slots: tuple
+    def __init__(self, coefficient: Fraction, slots: tuple):
+        self.__dict__.update(coefficient=coefficient, slots=slots)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymbolicTerm is immutable")
 
 
 def tensor_form_residual(

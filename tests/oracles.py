@@ -344,11 +344,19 @@ def invariant_form_sides(c, gram, r):
     return out
 
 
-def _matmul(a, b):
+def matmul(a, b):
+    """Product of two raw matrices."""
     return [
         [sum((a[p][s] * b[s][q] for s in range(len(b))), Fraction(0)) for q in range(len(b[0]))]
         for p in range(len(a))
     ]
+
+
+def adjoint(c, i):
+    """Matrix of y -> [e_i, y] from structure constants c, raw lists: entry
+    (k, j) is the e_k coefficient of [e_i, e_j]."""
+    n = len(c)
+    return [[c[i][j][k] for j in range(n)] for k in range(n)]
 
 
 def rep_identity_sides(c, twist, rho1, rho2, r=None):
@@ -370,9 +378,9 @@ def rep_identity_sides(c, twist, rho1, rho2, r=None):
                 for p in range(m)
             ]
             if r is None:
-                ab, ba = _matmul(rho2[i], rho1[j]), _matmul(rho2[j], rho1[i])
+                ab, ba = matmul(rho2[i], rho1[j]), matmul(rho2[j], rho1[i])
             else:
-                ab, ba = _matmul(rho1[i], rho2[j]), _matmul(rho1[j], rho2[i])
+                ab, ba = matmul(rho1[i], rho2[j]), matmul(rho1[j], rho2[i])
             rhs = [[ab[p][q] - ba[p][q] for q in range(m)] for p in range(m)]
             for p in range(m):
                 rhs[p][p] += twist[i][j]

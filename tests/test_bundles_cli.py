@@ -3,19 +3,21 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalie import bundles
-from omegalie.algebras import abelian
-from omegalie.bialgebra import dual_pair
+from omegalie.algebras import GeneralizedOmegaLieAlgebra, abelian, omega_lie
+from omegalie.bialgebra import BilinearForm, cobracket_of_dual, dual_pair
 from omegalie.errors import BundleFormatError
-from omegalie.cli import KINDS, run
+from omegalie.cli import KINDS, ToolkitConfig, run
 from omegalie.linalg import Matrix, Vector
-from omegalie.representations import Representation, adjoint_pair, generalized_dual_pair
-from omegalie.yang_baxter import TwoTensor
+from omegalie.reports import Violation
+from omegalie.representations import Representation, SpecialRepII, adjoint_pair, generalized_dual_pair
+from omegalie.yang_baxter import SymbolicTerm, TwoTensor, YbeContext
 
 from conftest import FIXTURES, make_ax2, make_b2, make_b2_line_r3
 
@@ -178,6 +180,31 @@ def test_loader_rejects_bool_dim(doc):
     # `check` has no checker for these kinds, so the CLI cases cannot reach them
     with pytest.raises(BundleFormatError):
         bundles.parse_any({**doc, "dim": True})
+
+
+def test_records_are_immutable():
+    b2 = make_b2()
+    two_bracket = GeneralizedOmegaLieAlgebra(2, b2.table, b2.table, Vector.zero(2))
+    zeros = (Matrix.zero(1, 1),) * 2
+    parsed = [bundles.parse_any(load_fixture(name))[1]
+              for name in ("lsa_nc2", "dual_pair_classical", "wedge", "good_t", "solve_b2")]
+    records = parsed + [
+        b2,
+        two_bracket,
+        Violation((0,), "1", "0"),
+        Representation(b2, 1, zeros),
+        adjoint_pair(b2),
+        SpecialRepII(two_bracket, 1, zeros, zeros, zeros),
+        BilinearForm(Matrix.zero(2, 2)),
+        cobracket_of_dual(b2),
+        parsed[2].tensor,
+        YbeContext(b2, Vector.zero(2)),
+        SymbolicTerm(Fraction(1), (None, None, None)),
+        ToolkitConfig(),
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            record.label = "changed"
 
 
 def fixture_path(name):
@@ -681,17 +708,57 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["verdict"] == "PASS"
 
 
-def test_checker_modules_do_not_import_numpy():
-    # numpy belongs to the solver only; its import would dominate start-up
-    code = (
-        "import sys\n"
-        "import omegalie.algebras, omegalie.bialgebra, omegalie.yang_baxter, omegalie.operators\n"
-        "import omegalie.cli, omegalie.bundles\n"
-        "print('numpy' in sys.modules)\n"
-    )
+# The omegalie modules that every algebra loads, and that every command loads.
+_CORE = {"algebras", "linalg", "reports", "errors"}
+_CLI = _CORE | {"cli", "bundles"}
+_YB = ["--algebra", fixture_path("b2"), "--r-tensor", fixture_path("wedge")]
+# (case, statement or command, the omegalie submodules it loads).  Start-up
+# is part of every command's time: a command loads only the modules of its
+# kind, and only the solver loads numpy and dataclasses.
+IMPORT_GRAPH = [
+    ("root", "import omegalie", set()),
+    ("checkers",
+     "import omegalie.algebras, omegalie.bialgebra, omegalie.yang_baxter, omegalie.operators, "
+     "omegalie.cli, omegalie.bundles",
+     _CLI | {"bialgebra", "operators", "representations", "yang_baxter"}),
+    ("solver", "import omegalie.solver", _CORE | {"solver", "yang_baxter"}),
+    ("check-b2", ["check", fixture_path("b2")], _CLI),
+    ("check-two-tensor", ["check", fixture_path("wedge_ctx")], _CLI | {"yang_baxter"}),
+    ("construct-adjoint-pair", ["construct", "adjoint-pair", "--in", fixture_path("b2")],
+     _CLI | {"representations"}),
+    ("construct-cobracket", ["construct", "cobracket", "--in", fixture_path("b2")],
+     _CLI | {"representations", "bialgebra"}),
+    ("verify-thm-3.8", ["verify", "thm-3.8", "--in", fixture_path("dual_pair_classical")],
+     _CLI | {"representations", "bialgebra"}),
+    ("verify-thm-5.18", ["verify", "thm-5.18", "--in", fixture_path("good_t")],
+     _CLI | {"operators", "representations", "yang_baxter"}),
+    ("yb-residual", ["yb", "residual"] + _YB, _CLI | {"yang_baxter"}),
+    ("solve", ["--deterministic", "solve", "--in", fixture_path("solve_b2")],
+     _CLI | {"solver", "yang_baxter"}),
+]
+
+
+@pytest.mark.parametrize("case, run_what, expected", IMPORT_GRAPH, ids=[c[0] for c in IMPORT_GRAPH])
+def test_import_graph(tmp_path, case, run_what, expected):
+    if isinstance(run_what, str):
+        code = f"import json, sys\n{run_what}\n"
+    else:  # python -m omegalie, with the document written to a file
+        argv = ["--out", str(tmp_path / "out.json")] + run_what
+        code = (
+            "import json, runpy, sys\n"
+            f"sys.argv = ['omegalie'] + {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('omegalie', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+        )
+    code += "print(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = set(json.loads(proc.stdout))
+    assert {m.split(".", 1)[1] for m in loaded if m.startswith("omegalie.")} == expected
+    if "solver" not in expected:
+        assert not loaded & {"dataclasses", "inspect", "numpy"}
 
 
 def test_non_solve_commands_do_not_import_numpy(tmp_path):
@@ -709,6 +776,44 @@ def test_non_solve_commands_do_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0] False"
+
+
+def test_cli_out_unwritable_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    for out in (missing, str(tmp_path)):  # no such directory; a directory
+        assert run(["--out", out, "check", fixture_path("b2")]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+    # the failure report of an unmet precondition is written the same way
+    heis_r3 = omega_lie(3, {(0, 1): [0, 0, 1]}, r=[0, 0, 1])  # fails twisted Jacobi
+    doc = {"kind": "dual_pair", "algebra": bundles.omega_lie_doc(heis_r3)}
+    doc["dual"] = bundles.omega_lie_doc(abelian(3))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == 1
+    capsys.readouterr()
+    assert run(["--out", missing, "check", str(path)]) == 2
+    assert f"error: cannot write {missing}: " in capsys.readouterr().err
+
+
+def _assert_not_admissible(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the tensor is not admissible" in captured.err
+
+
+def test_cli_yb_bialgebra_rejects_non_admissible_tensor(capsys):
+    # ax2 has r = e1*, so its admissible subspace is zero: the wedge is not
+    # admissible, and u_r = 0 is eligible
+    args = ["yb", "bialgebra", "--algebra", fixture_path("ax2"), "--r-tensor", fixture_path("wedge")]
+    _assert_not_admissible(capsys, args)
+
+
+def test_cli_verify_thm_44_rejects_non_admissible_tensor(tmp_path, capsys):
+    tensor = TwoTensor.wedge(Vector.unit(2, 0), Vector.unit(2, 1))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(bundles.two_tensor_doc(tensor, make_ax2(), Vector.zero(2))))
+    _assert_not_admissible(capsys, ["verify", "thm-4.4", "--in", str(path)])
 
 
 def _assert_ineligible(capsys, argv, rule="center"):

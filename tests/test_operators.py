@@ -20,7 +20,7 @@ from omegalie.representations import Representation, check_representation
 from omegalie.yang_baxter import YbeContext, yb_residual
 
 from conftest import make_e1_lsa, make_kt2_lsa, make_nc2_lsa, raw_table
-from oracles import classical_cybe, classical_semidirect
+from oracles import adjoint, classical_cybe, classical_semidirect
 
 
 def e1_pipeline():
@@ -236,7 +236,7 @@ def test_lift_equivalence_grid(b2, ax2):
 def test_lift_matches_classical_oracle(b2):
     """Untwisted case: the lift equals the classical construction computed
     with raw-loop oracles end to end."""
-    rep = Representation(b2, 2, (b2.ad1(0), b2.ad1(1)))
+    rep = Representation(b2, 2, tuple(Matrix(adjoint(raw_table(b2), i)) for i in range(2)))
     rng = random.Random(17)
     for _ in range(10):
         t = Matrix([[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
