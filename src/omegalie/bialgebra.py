@@ -6,13 +6,16 @@ make it well-behaved, invariant pairings, and the cobracket obtained by
 dualizing the bracket of L*.  The compatibility conditions are implemented
 verbatim as independent residual evaluators; agreement with the assembled
 double is itself a checked property, not an assumption.  Cobrackets and
-their cocycle terms are built on integer views, through one slot action.
+their cocycle terms run on integer views, through one slot action, as do the
+matched-pair residuals; the "cobracket-pairing-with-u" clause, the triple
+checker and the assembly of the double still evaluate on Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebras import IntTable, OmegaLieAlgebra, check_omega_lie
 from .errors import AxiomViolation, DimensionMismatch
@@ -24,7 +27,6 @@ from .linalg import (
     _integer_numerators,
     _matrix,
     _slot_action,
-    combine,
     pad,
 )
 from .reports import Report
@@ -160,61 +162,83 @@ def _mirror(dp: DualPair) -> DualPair:
     return DualPair(dp.dual, dp.algebra, dp.pair_on_algebra, dp.pair_on_dual, u_r_of(dp.algebra))
 
 
-def _columns(mats: tuple) -> list:
-    """cols[i][k] is column k of mats[i]."""
-    return [[m.column(k) for k in range(m.shape[1])] for m in mats]
+def _common_den(dp: DualPair) -> int:
+    """The lcm of the denominators of the pair's four integer views; a view
+    need not keep its least denominator."""
+    views = (dp.algebra._ints, dp.dual._ints, dp.pair_on_algebra._ints, dp.pair_on_dual._ints)
+    return lcm(*(v.den for v in views))
+
+
+def _common_views(dp: DualPair) -> tuple:
+    """The tables and forms of L and L*, and the families of the pairs on L
+    and on L*, as numerators over the pair's common denominator."""
+    den = _common_den(dp)
+
+    def scaled(rows: list, d: int) -> list:
+        return [[x * (den // d) for x in row] for row in rows]
+
+    (*c, r), (*c_dual, u) = (scaled(t.c + [t.r], t.den) for t in (dp.algebra._ints, dp.dual._ints))
+    fams = (dp.pair_on_algebra._ints, dp.pair_on_dual._ints)
+    return ((c, r), (c_dual, u)), [[scaled(fam, f.den) for fam in f.mats] for f in fams]
 
 
 def _mixed_derivation(dp: DualPair):
     """Residual at (w, i, j) of the operator pair on L acting by derivations
-    of the bracket of L, up to the mixed and form terms."""
-    n = dp.algebra.dim
-    L, u, r_vec = dp.algebra, dp.u_r, dp.algebra.r
-    pi1, pi2 = dp.pair_on_algebra.rho1, dp.pair_on_algebra.rho2
-    basis = [Vector.unit(n, i) for i in range(n)]
-    rho2_col = _columns(dp.pair_on_dual.rho2)  # in L*
-    pi2_col = _columns(pi2)  # in L
-    # acting[j][w] is the pi1 family combined along column w of rho2_j
-    acting = [[combine(pi1, col) for col in cols] for cols in rho2_col]
+    of the bracket of L, up to the mixed and form terms: its numerators over
+    the square of the pair's common denominator."""
+    n, nn = dp.algebra.dim, dp.algebra.dim ** 2
+    ((c, r), (_, u)), ((pi1, pi2), (_, rho2)) = _common_views(dp)
+    # column q of a flat matrix m is m[q::n]
+    # t1[i*n + j][w*n + k]: pi2_w applied to [e_i, e_j], at e_k
+    t1 = _int_matmul(c, [[x for m in pi2 for x in m[q::n]] for q in range(n)])
+    # brackets[w*n + i]: [pi2_w e_i, e_j] at j*n + k, then [e_j, pi2_w e_i] at nn + j*n + k
+    brackets = _int_matmul(
+        [m[i::n] for m in pi2 for i in range(n)],
+        [[x for row in c[a * n : a * n + n] + c[a::n] for x in row] for a in range(n)],
+    )
+    # acting[j*n + w][i*n + k]: column i of the pi1 family combined along
+    # column w of rho2_j, at e_k
+    acting = _int_matmul(
+        [m[w::n] for m in rho2 for w in range(n)],
+        [[x for i in range(n) for x in m[i::n]] for m in pi1],
+    )
+    r_pi2 = [[sum(a * m[p * n + j] for p, a in enumerate(r)) for j in range(n)] for m in pi2]
+    rho2_u = [[sum(m[p * n + w] * a for p, a in enumerate(u)) for w in range(n)] for m in rho2]
 
-    def residual(w: int, i: int, j: int) -> Vector:
-        rho2_i_w, rho2_j_w = rho2_col[i][w], rho2_col[j][w]
-        return (
-            pi2[w].apply(L.table[i][j])
-            - L.bracket(pi2_col[w][i], basis[j])
-            - L.bracket(basis[i], pi2_col[w][j])
-            - acting[j][w].column(i)
-            + acting[i][w].column(j)
-            - rho2_i_w[j] * u
-            + rho2_j_w[i] * u
-            - r_vec.dot(pi2_col[w][j]) * basis[i]
-            + r_vec.dot(pi2_col[w][i]) * basis[j]
-            - rho2_i_w.dot(u) * basis[j]
-            + rho2_j_w.dot(u) * basis[i]
-        )
+    def residual(w: int, i: int, j: int) -> list:
+        w0, i0, j0 = w * n, i * n, j * n
+        coeff = rho2[j][i0 + w] - rho2[i][j0 + w]
+        res = [
+            t - b1 - b2 - a1 + a2 + coeff * x
+            for t, b1, b2, a1, a2, x in zip(
+                t1[i0 + j][w0 : w0 + n],
+                brackets[w0 + i][j0 : j0 + n],
+                brackets[w0 + j][nn + i0 : nn + i0 + n],
+                acting[j0 + w][i0 : i0 + n],
+                acting[i0 + w][j0 : j0 + n],
+                u,
+            )
+        ]
+        res[i] += rho2_u[j][w] - r_pi2[w][j]
+        res[j] += r_pi2[w][i] - rho2_u[i][w]
+        return res
 
     return residual
 
 
 def _pairing_with_u(dp: DualPair):
     """Residual at (a, b, k) of the bracket of L* paired with u against the
-    operator pair on L.  It takes k first, as the mirror's form-compatibility
-    loop runs k-major."""
-    u, Ls = dp.u_r, dp.dual
-    pi1_col = _columns(dp.pair_on_algebra.rho1)  # in L
-    pi2_col = _columns(dp.pair_on_algebra.rho2)
+    operator pair on L: its numerators over the square of the pair's common
+    denominator.  It takes k first, as the mirror's form-compatibility loop
+    runs k-major."""
+    n = dp.algebra.dim
+    (_, (c_dual, u)), ((pi1, pi2), _) = _common_views(dp)
+    diff = [[x - y for x, y in zip(m1, m2)] for m1, m2 in zip(pi1, pi2)]
 
-    def residual(k: int, a: int, b: int) -> Vector:
-        pi2_b_k, pi2_a_k = pi2_col[b][k], pi2_col[a][k]
-        return (
-            Ls.table[b][a][k] * u
-            - 2 * u[a] * pi2_b_k
-            - 2 * u[b] * pi1_col[a][k]
-            + 2 * u[a] * pi1_col[b][k]
-            + 2 * u[b] * pi2_a_k
-            + pi2_b_k[a] * u
-            - pi2_a_k[b] * u
-        )
+    def residual(k: int, a: int, b: int) -> list:
+        coeff = c_dual[b * n + a][k] + pi2[b][a * n + k] - pi2[a][b * n + k]
+        ua, ub = 2 * u[a], 2 * u[b]
+        return [coeff * x + ua * y - ub * z for x, y, z in zip(u, diff[b][k::n], diff[a][k::n])]
 
     return residual
 
@@ -224,11 +248,13 @@ def check_matched_pair(dp: DualPair) -> Report:
     evaluated on all relevant basis tuples.
 
     The conditions are symmetric under swapping L and L*: the last two are
-    the first two evaluated on the mirrored pair.
+    the first two evaluated on the mirrored pair.  The residuals are integer
+    numerators over one denominator, shared by the pair and its mirror.
     """
     n = dp.algebra.dim
     mirror = _mirror(dp)
     pairing = _pairing_with_u(dp)
+    den = _common_den(dp) ** 2
     zero = Vector.zero(n)
     report = Report("matched-pair conditions")
     for name, residual in (
@@ -240,8 +266,8 @@ def check_matched_pair(dp: DualPair) -> Report:
         clause = report.clause(name)
         for index in product(range(n), repeat=3):
             res = residual(*index)
-            if not res.is_zero():
-                clause.add(index, res, zero)
+            if any(res):
+                clause.add(index, Vector([Fraction(x, den) for x in res]), zero)
     return report
 
 

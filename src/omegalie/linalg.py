@@ -337,20 +337,6 @@ class ThreeTensor:
 
     __rmul__ = scale
 
-    def cyclic_sum(self) -> "ThreeTensor":
-        """Sum of this tensor over the three cyclic rotations of its slots."""
-        n = self.dim
-        t = self.entries
-        return ThreeTensor(
-            [
-                [
-                    [t[i][j][k] + t[j][k][i] + t[k][i][j] for k in range(n)]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-
     def is_zero(self) -> bool:
         return all(e == 0 for plane in self.entries for row in plane for e in row)
 

@@ -12,6 +12,7 @@ one source of the induced cobracket, the hypothesis and the cocycle check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .algebras import IntTable, OmegaLieAlgebra, admissible_subspace, central_elements
@@ -215,38 +216,25 @@ def jac_delta(
         raise DimensionMismatch("cobracket and algebra dimensions differ")
     if not 0 <= x_index < n:
         raise DimensionMismatch("basis index out of range")
-    u = ctx.u_r
-    d_x = delta.component[x_index]
-
-    iterated = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            coeff = d_x[a, b]
-            if coeff == 0:
-                continue
-            d_b = delta.component[b]
-            for p in range(n):
-                for q in range(n):
-                    if d_b[p, q] != 0:
-                        iterated[a][p][q] += coeff * d_b[p, q]
-    first = ThreeTensor(iterated)
-
-    rest = ThreeTensor.zero(n)
-    if not u.is_zero():
-        sigma_dx = d_x.transpose()
-        x_vec = Vector.unit(n, x_index)
-        terms = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    terms[i][j][k] += 2 * sigma_dx[i, j] * u[k]
-                    terms[i][j][k] += u[i] * d_x[j, k]
-                    terms[i][j][k] += 2 * u[i] * u[j] * x_vec[k]
-        rest = ThreeTensor(terms)
-
+    flat = [[e for row in m.rows for e in row] for m in delta.component]
+    (*comps, u), den = _integer_numerators(flat + [ctx.u_r])
+    d_x = comps[x_index]
+    cube = list(product(range(n), repeat=3))
+    # all terms are numerators over den**2, flat in C order; the iterated
+    # term at (a, p, q) is the sum over b of delta_x[a, b] delta_b[p, q]
+    first = sum(_int_matmul([d_x[a * n : a * n + n] for a in range(n)], comps), [])
+    rest = [
+        2 * d_x[j * n + i] * u[k] + u[i] * d_x[j * n + k] + (2 * u[i] * u[j] if k == x_index else 0)
+        for i, j, k in cube
+    ]
     if scope == "all":
-        return (first + rest).cyclic_sum()
-    return first.cyclic_sum() + rest
+        first, rest = [a + b for a, b in zip(first, rest)], [0] * len(cube)
+    # the cyclic sum over the rotations (i, j, k), (j, k, i) and (k, i, j)
+    total = [
+        first[m] + first[(j * n + k) * n + i] + first[(k * n + i) * n + j] + rest[m]
+        for m, (i, j, k) in enumerate(cube)
+    ]
+    return _three_tensor(total, den * den, n)
 
 
 def ad_x_t3(algebra: OmegaLieAlgebra, x_index: int, tensor: ThreeTensor) -> ThreeTensor:

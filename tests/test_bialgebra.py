@@ -1,9 +1,20 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
-from omegalie.algebras import OmegaLieAlgebra, abelian, check_omega_lie, omega_lie
+from omegalie.algebras import (
+    OmegaLieAlgebra,
+    abelian,
+    admissible_subspace,
+    center,
+    check_omega_lie,
+    omega_lie,
+)
 from omegalie.bialgebra import (
     BilinearForm,
     DualPair,
@@ -22,9 +33,11 @@ from omegalie.bialgebra import (
 from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, Subspace, Vector
 from omegalie.representations import GenRepKind, GenRepPair, check_gen_rep
+from omegalie.yang_baxter import TwoTensor, YbeContext, dual_structure_from_r
 
 from conftest import (
     antisymmetrize,
+    corpus_algebras,
     make_b2,
     rational_entry,
     rational_matrix,
@@ -33,6 +46,8 @@ from conftest import (
     vectors_from_raw,
 )
 from oracles import adjoint, invariant_form_sides, matched_pair_residuals
+
+MATCHED_PAIR_REPORTS_SHA256 = "9e54e60c161efd3403fcf64c11c4df0ca28fbd43301b905f3f6116fed284ba3b"
 
 
 def classical_pair():
@@ -118,39 +133,107 @@ def _assert_matched_pair_matches_oracle(dp):
     return report.passed
 
 
-def test_matched_pair_matches_oracle():
-    """Clause by clause, the violation indices in order and the residuals
-    are those of an oracle that writes all four conditions out in full: on
-    the dim-2 bridge grid, and on hand-built pairs with random families."""
-    failing = 0
+def _bridge_grid():
+    """The 324 standard pairs of the dim-2 bridge grid."""
     for a, b in product((-1, 0, 1), repeat=2):
         for r in ((0, 0), (1, 0)):
             lhs = omega_lie(2, {(0, 1): [a, b]}, r=list(r))
             for al, be in product((-1, 0, 1), repeat=2):
                 for rs in ((0, 0), (0, 1)):
-                    rhs = omega_lie(2, {(0, 1): [al, be]}, r=list(rs))
-                    failing += not _assert_matched_pair_matches_oracle(dual_pair(lhs, rhs))
+                    yield dual_pair(lhs, omega_lie(2, {(0, 1): [al, be]}, r=list(rs)))
+
+
+def _random_pair(rng, n, antisymmetric):
+    """A pair built directly from random rational tables, forms and operator
+    families, each drawn over one random denominator."""
+    den = rng.randint(2, 12)
+
+    def algebra():
+        raw = rational_raw_tensor(rng, n, den)
+        if antisymmetric:
+            raw = antisymmetrize(raw)
+        r = Vector([rational_entry(rng, den) for _ in range(n)])
+        return OmegaLieAlgebra(n, vectors_from_raw(raw), r=r)
+
+    def family():
+        return tuple(Matrix(rational_matrix(rng, n, den)) for _ in range(n))
+
+    L, Ls = algebra(), algebra()
+    on_dual = GenRepPair(L, n, family(), family(), GenRepKind.GEN_I)
+    on_algebra = GenRepPair(Ls, n, family(), family(), GenRepKind.GEN_I)
+    return DualPair(L, Ls, on_dual, on_algebra, Ls.r)
+
+
+def test_matched_pair_matches_oracle():
+    """Clause by clause, the violation indices in order and the residuals
+    are those of an oracle that writes all four conditions out in full: on
+    the dim-2 bridge grid, and on hand-built pairs with random families."""
+    failing = 0
+    for dp in _bridge_grid():
+        failing += not _assert_matched_pair_matches_oracle(dp)
     assert failing > 0
 
     rng = random.Random(3838)
     for trial in range(60):
         n = rng.randint(1, 3)
-        den = rng.randint(2, 12)
+        _assert_matched_pair_matches_oracle(_random_pair(rng, n, trial % 2))
 
-        def algebra():
-            raw = rational_raw_tensor(rng, n, den)
-            if trial % 2:
-                raw = antisymmetrize(raw)
-            r = Vector([rational_entry(rng, den) for _ in range(n)])
-            return OmegaLieAlgebra(n, vectors_from_raw(raw), r=r)
 
-        def family():
-            return tuple(Matrix(rational_matrix(rng, n, den)) for _ in range(n))
+def _yb_dual_pairs(rng, count):
+    """Standard pairs (L, L*) and (L*, L) for rescaled corpus algebras L and
+    the valid duals read off random skew tensors on their admissible
+    subspaces, with a zero or a central distinguished element."""
+    for t in range(count):
+        base = rng.choice(corpus_algebras())
+        n, den = base.dim, rng.randint(2, 9)
 
-        L, Ls = algebra(), algebra()
-        on_dual = GenRepPair(L, n, family(), family(), GenRepKind.GEN_I)
-        on_algebra = GenRepPair(Ls, n, family(), family(), GenRepKind.GEN_I)
-        _assert_matched_pair_matches_oracle(DualPair(L, Ls, on_dual, on_algebra, Ls.r))
+        def entry():
+            return Fraction(rng.randint(-3, 3), rng.choice((1, den)))
+
+        s = Fraction(rng.choice((1, -1, 3)), rng.choice((1, den)))
+        raw = [[[s * x for x in base.table[i][j]] for j in range(n)] for i in range(n)]
+        alg = OmegaLieAlgebra(n, vectors_from_raw(raw), r=base.r.scale(s))
+        w = admissible_subspace(alg).basis
+        entries = Matrix.zero(n, n)
+        for a in range(len(w)):
+            for b in range(a + 1, len(w)):
+                entries = entries + entry() * (w[a].outer(w[b]) - w[b].outer(w[a]))
+        z = center(alg)
+        u = z.basis[rng.randrange(z.dim)].scale(entry()) if z.dim and t % 2 else Vector.zero(n)
+        dual = dual_structure_from_r(YbeContext(alg, u), TwoTensor(n, entries))
+        if check_omega_lie(dual).passed:
+            yield dual_pair(alg, dual)
+            yield dual_pair(dual, alg)
+
+
+def test_matched_pair_reports_byte_stable():
+    """check_matched_pair on the bridge grid, on the pairs of rescaled corpus
+    algebras with duals read off Yang-Baxter tensors (whose integer views do
+    not keep their least denominator) and on random pairs with non-standard
+    families at n = 1-4, and crosscheck_equivalence on every fourth standard
+    pair, render the recorded bytes; the matched pair both passes and fails."""
+    rng = random.Random(2207)
+    digest = hashlib.sha256()
+    seen = set()
+
+    def record(name, report):
+        seen.add((name, report.passed))
+        digest.update(json.dumps(report.to_document(), sort_keys=True).encode())
+
+    standard = list(_bridge_grid()) + list(_yb_dual_pairs(rng, 40))
+    least = [
+        lcm(*(x.denominator for row in d.table for v in row for x in v), *(x.denominator for x in d.r))
+        for d in (dp.dual for dp in standard)
+    ]
+    assert any(dp.dual._ints.den != den for dp, den in zip(standard, least))
+    for dp in standard:
+        record("matched-pair", check_matched_pair(dp))
+    for trial in range(40):
+        record("matched-pair", check_matched_pair(_random_pair(rng, 1 + trial % 4, trial % 2)))
+    for dp in standard[::4]:
+        record("crosscheck", crosscheck_equivalence(dp))
+    assert seen == {("matched-pair", True), ("matched-pair", False), ("crosscheck", True)}
+    assert digest.hexdigest() == MATCHED_PAIR_REPORTS_SHA256
 
 
 def test_standard_form_dim1():
