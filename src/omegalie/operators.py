@@ -4,12 +4,15 @@ An operator here is a linear map from a carrier space into the algebra that
 transports the carrier action to the bracket, up to the multiplicative
 correction terms.  Such operators tie together left-symmetric products,
 representations, and skew solutions of the twisted Yang-Baxter equation on
-a semidirect product.
+a semidirect product.  The transport identity runs on integer numerators;
+the product ``lsa_from_o_operator`` induces and the semidirect table of
+``lift_o_operator`` are built on Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .algebras import (
@@ -20,14 +23,19 @@ from .algebras import (
     subadjacent,
 )
 from .errors import AxiomViolation, DimensionMismatch
-from .linalg import Matrix, Subspace, Vector, combine, rref, solve_linear
+from .linalg import (
+    Matrix, Subspace, Vector, _built, _int_matmul, _integer_numerators, rref, solve_linear
+)
 from .reports import Report
 from .representations import (
     GenRepKind,
     GenRepPair,
+    IntFamilies,
     Representation,
-    check_gen_rep,
+    _matrices,
+    _pair,
     _semidirect_rep,
+    check_gen_rep,
     check_representation,
     dual_representation,
 )
@@ -50,7 +58,7 @@ def check_o_operator(algebra: OmegaLieAlgebra, rep: Representation, t: Matrix) -
         raise ValueError("representation acts on a different algebra")
     if not check_representation(rep).passed:
         raise AxiomViolation("representation fails its defining identity")
-    return _check_transport(algebra, rep.rho, rep.carrier_dim, t, "operator-identity")
+    return _check_transport(algebra, rep._ints, t, "operator-identity")
 
 
 def check_o_operator_gen(algebra: OmegaLieAlgebra, pair: GenRepPair, t: Matrix) -> Report:
@@ -60,26 +68,38 @@ def check_o_operator_gen(algebra: OmegaLieAlgebra, pair: GenRepPair, t: Matrix) 
         raise ValueError("the transport identity uses a first-kind pair")
     if not check_gen_rep(pair).passed:
         raise AxiomViolation("pair fails the first-kind identity")
-    return _check_transport(algebra, pair.rho1, pair.carrier_dim, t, "operator-identity-gen")
+    return _check_transport(algebra, pair._ints, t, "operator-identity-gen")
 
 
 def _check_transport(
-    algebra: OmegaLieAlgebra, rho: tuple, carrier_dim: int, t: Matrix, clause_name: str
+    algebra: OmegaLieAlgebra, fams: IntFamilies, t: Matrix, clause_name: str
 ) -> Report:
-    _operator_shapes(algebra, carrier_dim, t)
-    m = carrier_dim
+    """[T e_a, T e_b] = T(rho(T e_a) e_b - rho(T e_b) e_a) + 2 r(T e_b) T e_a
+    - 2 r(T e_a) T e_b at every carrier basis pair (a, b), a-major, with rho the
+    first family of ``fams``, on numerators over dt^2 lcm(dc, fams.den)."""
+    (c, r, dc), n, m = algebra._ints, algebra.dim, fams.m
+    _operator_shapes(algebra, m, t)
+    cols, dt = _integer_numerators(zip(*t.rows))
+    # over dt dc: ad[a] = [T e_a, .] flat over (j, k) and r_t[a] = r(T e_a); over dt^2 dc:
+    # brackets[a][b] = [T e_a, T e_b]; over dt^2 fams.den: moved[a][b] = T rho(T e_a) e_b
+    ad = _int_matmul(cols, [sum(c[i * n : i * n + n], []) for i in range(n)])
+    brackets = [_int_matmul(cols, [row[j * n : j * n + n] for j in range(n)]) for row in ad]
+    acting = _int_matmul(cols, fams.mats[0])
+    moved = [_int_matmul([x[b::m] for b in range(m)], cols) for x in acting]
+    r_t = [sum(x * y for x, y in zip(r, col)) for col in cols]
+    den = lcm(dc, fams.den)
+    scale_c, scale_rho, den = den // dc, den // fams.den, den * dt * dt
     report = Report("operator transport identity")
     clause = report.clause(clause_name)
-    r = algebra.r
-    t_cols = [t.column(b) for b in range(m)]
     for a in range(m):
         for b in range(m):
-            tu, tv = t_cols[a], t_cols[b]
-            lhs = algebra.bracket(tu, tv)
-            inner = combine(rho, tu).column(b) - combine(rho, tv).column(a)
-            rhs = t.apply(inner) + (2 * r.dot(tv)) * tu - (2 * r.dot(tu)) * tv
+            lhs = [x * scale_c for x in brackets[a][b]]
+            rhs = [
+                (p - q) * scale_rho + 2 * scale_c * (r_t[b] * x - r_t[a] * y)
+                for p, q, x, y in zip(moved[a][b], moved[b][a], cols[a], cols[b])
+            ]
             if lhs != rhs:
-                clause.add((a, b), lhs, rhs)
+                clause.add((a, b), *(Vector(Fraction(x, den) for x in side) for side in (lhs, rhs)))
     return report
 
 
@@ -131,23 +151,17 @@ def genrep_from_lsa(lsa: LeftSymmetricAlgebra) -> GenRepPair:
         raise ValueError("the construction needs the multiplicative flavor")
     if not check_lsa(lsa).passed:
         raise AxiomViolation("input fails the left-symmetric axioms")
-    n = lsa.dim
-    sub = subadjacent(lsa)
-    r = lsa.r
-    l1, l2 = [], []
-    for i in range(n):
-        cols1, cols2 = [], []
-        for j in range(n):
-            prod = lsa.table[i][j]
-            cols2.append(prod)
-            cols1.append(prod - (2 * r[j]) * Vector.unit(n, i))
-        l1.append(Matrix.from_columns(cols1))
-        l2.append(Matrix.from_columns(cols2))
-    pair = GenRepPair(sub, n, tuple(l1), tuple(l2), GenRepKind.GEN_I)
+    n, (c, r, den) = lsa.dim, lsa._ints
+    # entry (k, j) of left_i is the e_k coefficient of e_i e_j; rho1_i has 2r less in row i
+    left = tuple([c[i * n + j][k] for k in range(n) for j in range(n)] for i in range(n))
+    shifted = tuple(list(a) for a in left)
+    for i, a in enumerate(shifted):
+        a[i * n : i * n + n] = [x - 2 * y for x, y in zip(a[i * n : i * n + n], r)]
+    pair = _pair(subadjacent(lsa), IntFamilies((shifted, left), den, n), GenRepKind.GEN_I)
     result = check_gen_rep(pair)
     if not result.passed:
         raise AxiomViolation(f"induced pair fails the first-kind identity: {result!r}")
-    ident = _check_transport(sub, pair.rho1, n, Matrix.identity(n), "operator-identity-gen")
+    ident = _check_transport(pair.algebra, pair._ints, Matrix.identity(n), "operator-identity-gen")
     if not ident.passed:
         raise AxiomViolation(f"identity map fails the transport identity: {ident!r}")
     return pair
@@ -205,16 +219,18 @@ def rep_from_lsa(algebra: OmegaLieAlgebra, lsa: LeftSymmetricAlgebra) -> Represe
     n = lsa.dim
     if algebra.dim != n or not algebra.is_multiplicative:
         raise ValueError("expected the multiplicative commutator algebra of the product")
-    r = algebra.r
-    mats = []
-    for i in range(n):
-        left = Matrix.from_columns([lsa.table[i][j] for j in range(n)])
-        mats.append(left + (2 * r[i]) * Matrix.identity(n))
-    rep = Representation(algebra, n, tuple(mats))
+    (c, _, dl), (_, r, da) = lsa._ints, algebra._ints
+    den = lcm(dl, da)
+    # entry (k, j) of the i-th matrix is the e_k coefficient of e_i e_j, plus 2 r_i if k = j
+    left = [[c[i * n + j][k] * (den // dl) for k in range(n) for j in range(n)] for i in range(n)]
+    for i, mat in enumerate(left):
+        mat[:: n + 1] = [x + 2 * r[i] * (den // da) for x in mat[:: n + 1]]
+    fams = IntFamilies((tuple(left),), den, n)
+    rep = _built(Representation(algebra, n, *_matrices(fams)), fams)
     result = check_representation(rep)
     if not result.passed:
         raise AxiomViolation(f"shifted left multiplication fails the identity: {result!r}")
-    ident = _check_transport(algebra, rep.rho, n, Matrix.identity(n), "operator-identity")
+    ident = _check_transport(algebra, fams, Matrix.identity(n), "operator-identity")
     if not ident.passed:
         raise AxiomViolation(f"identity map fails the transport identity: {ident!r}")
     return rep

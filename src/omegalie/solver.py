@@ -54,12 +54,14 @@ class SolveOptions:
 
 def skew_parameter_basis(algebra: OmegaLieAlgebra) -> list[TwoTensor]:
     """Linearly independent skew tensors spanning the wedge square of the
-    admissible subspace."""
-    w = admissible_subspace(algebra)
+    admissible subspace: (u_i v_j - v_i u_j) / den^2 from basis numerators."""
+    w, den = _integer_numerators(admissible_subspace(algebra).basis)
+    n, d2 = algebra.dim, den * den
     basis = []
-    for a in range(w.dim):
-        for b in range(a + 1, w.dim):
-            basis.append(TwoTensor.wedge(w.basis[a], w.basis[b]))
+    for a, u in enumerate(w):
+        for v in w[a + 1 :]:
+            rows = [[Fraction(u[i] * v[j] - v[i] * u[j], d2) for j in range(n)] for i in range(n)]
+            basis.append(TwoTensor(n, Matrix(rows)))
     return basis
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .algebras import IntTable, OmegaLieAlgebra, admissible_subspace, central_elements
@@ -209,8 +210,6 @@ def jac_delta(
     ctx: YbeContext, delta: CobracketDelta, x_index: int, scope: str = "all"
 ) -> ThreeTensor:
     """Co-Jacobiator of a cobracket at one basis element."""
-    if scope not in JAC_SCOPES:
-        raise ValueError(f"unknown cyclic-sum scope {scope!r}")
     n = ctx.algebra.dim
     if delta.dim != n:
         raise DimensionMismatch("cobracket and algebra dimensions differ")
@@ -218,23 +217,29 @@ def jac_delta(
         raise DimensionMismatch("basis index out of range")
     flat = [[e for row in m.rows for e in row] for m in delta.component]
     (*comps, u), den = _integer_numerators(flat + [ctx.u_r])
-    d_x = comps[x_index]
+    return _three_tensor(next(_co_jacobiators(comps, u, [x_index], scope)), den * den, n)
+
+
+def _co_jacobiators(comps: list, u: list, xs, scope: str):
+    """Numerators of the co-Jacobiator at each e_x, x in ``xs``, flat in C order
+    and over the square of the one denominator of the components and u."""
+    if scope not in JAC_SCOPES:
+        raise ValueError(f"unknown cyclic-sum scope {scope!r}")
+    n = len(u)
     cube = list(product(range(n), repeat=3))
-    # all terms are numerators over den**2, flat in C order; the iterated
-    # term at (a, p, q) is the sum over b of delta_x[a, b] delta_b[p, q]
-    first = sum(_int_matmul([d_x[a * n : a * n + n] for a in range(n)], comps), [])
-    rest = [
-        2 * d_x[j * n + i] * u[k] + u[i] * d_x[j * n + k] + (2 * u[i] * u[j] if k == x_index else 0)
-        for i, j, k in cube
-    ]
-    if scope == "all":
-        first, rest = [a + b for a, b in zip(first, rest)], [0] * len(cube)
-    # the cyclic sum over the rotations (i, j, k), (j, k, i) and (k, i, j)
-    total = [
-        first[m] + first[(j * n + k) * n + i] + first[(k * n + i) * n + j] + rest[m]
-        for m, (i, j, k) in enumerate(cube)
-    ]
-    return _three_tensor(total, den * den, n)
+    # the rotations (j, k, i) and (k, i, j) of each (i, j, k) of the cyclic sum
+    rotations = [((j * n + k) * n + i, (k * n + i) * n + j) for i, j, k in cube]
+    for x in xs:
+        d_x = comps[x]
+        # the iterated term at (a, p, q) is the sum over b of delta_x[a, b] delta_b[p, q]
+        first = sum(_int_matmul([d_x[a * n : a * n + n] for a in range(n)], comps), [])
+        rest = [
+            2 * d_x[j * n + i] * u[k] + u[i] * d_x[j * n + k] + (2 * u[i] * u[j] if k == x else 0)
+            for i, j, k in cube
+        ] if any(u) else [0] * len(cube)
+        if scope == "all":
+            first, rest = [a + b for a, b in zip(first, rest)], [0] * len(cube)
+        yield [a + first[p] + first[q] + b for a, (p, q), b in zip(first, rotations, rest)]
 
 
 def ad_x_t3(algebra: OmegaLieAlgebra, x_index: int, tensor: ThreeTensor) -> ThreeTensor:
@@ -251,11 +256,11 @@ def ad_x_t3(algebra: OmegaLieAlgebra, x_index: int, tensor: ThreeTensor) -> Thre
     return _three_tensor(acted, dc * dt, n)
 
 
-def _moved_symmetrized(ctx: YbeContext, tensor: TwoTensor) -> tuple[list, int]:
+def _moved_symmetrized(dual: IntTable) -> tuple[list, int]:
     """The invariance hypothesis: ad_x sym + sym ad_x^T, sym = R + R^T, for
     each e_x as numerators flat in C order over one denominator.  It is the
-    symmetric part of the dual's bracket read off R: the form terms cancel."""
-    (c, _, den), n = _dual_ints(ctx, tensor), ctx.algebra.dim
+    symmetric part of the bracket of the dual read off R: the form terms cancel."""
+    (c, _, den), n = dual, len(dual.r)
     mirrored = [(i * n + j, j * n + i) for i in range(n) for j in range(n)]
     return [[c[ij][x] + c[ji][x] for ij, ji in mirrored] for x in range(n)], den
 
@@ -274,22 +279,29 @@ def check_derivation_identity(
     indices are recorded in the report metadata and the equality is not
     asserted.
     """
-    alg = ctx.algebra
-    n = alg.dim
+    from .bialgebra import _int_cobracket
+
+    (pairs, _, dc), n = ctx.algebra._ints, ctx.algebra.dim
     report = Report("derivation identity")
     report.meta["jac_scope"] = scope
-    moved, _ = _moved_symmetrized(ctx, tensor)
+    dual = _dual_ints(ctx, tensor)
+    moved, _ = _moved_symmetrized(dual)
     failing = [x + 1 for x in range(n) if any(moved[x])]
     report.meta["hypothesis_fails_at"] = failing
     equality = report.clause("cojacobiator-matches-adjoint-action")
     if not failing:
-        delta = delta_from_r(ctx, tensor)
-        residual = yb_residual(ctx, tensor)
-        for x in range(n):
-            lhs = jac_delta(ctx, delta, x, scope=scope)
-            rhs = ad_x_t3(alg, x, residual)
-            if lhs != rhs:
-                equality.add((x,), lhs - rhs, ThreeTensor.zero(n))
+        # the co-Jacobiator over dj^2, dj the least denominator of delta and u
+        comps = [*_int_cobracket(dual), dual.r]
+        g = gcd(dual.den, *(v for comp in comps for v in comp))
+        (*comps, u), dj = [[v // g for v in comp] for comp in comps], dual.den // g
+        residual, d_res = _residual_numerators(ctx, tensor)
+        den = lcm(dj * dj, dc * d_res)
+        scale_jac, scale_ad = den // (dj * dj), den // (dc * d_res)
+        for x, jac in enumerate(_co_jacobiators(comps, u, range(n), scope)):
+            acted = _slot_action(pairs[x * n : x * n + n], residual, n, 3)
+            diff = [a * scale_jac - b * scale_ad for a, b in zip(jac, acted)]
+            if any(diff):
+                equality.add((x,), _three_tensor(diff, den, n), ThreeTensor.zero(n))
     return report
 
 
@@ -336,7 +348,7 @@ def solution_conditions(ctx: YbeContext, tensor: TwoTensor) -> Report:
     n = alg.dim
     report = Report("solution conditions")
     residual, d_res = _residual_numerators(ctx, tensor)
-    moved, d_moved = _moved_symmetrized(ctx, tensor)
+    moved, d_moved = _moved_symmetrized(_dual_ints(ctx, tensor))
     pairs, dc = alg._ints.c, alg._ints.den
     cond_i = report.clause("symmetrized-tensor-invariant")
     cond_ii = report.clause("adjoint-action-annihilates-residual")

@@ -439,6 +439,33 @@ def rho2_from_rho1_sides(r, rho1, rho2):
     return out
 
 
+def transport_sides(c, r, rho, t):
+    """Both sides of the operator transport identity on carrier basis pairs
+    (a, b), a-major, where they differ:
+    [T e_a, T e_b] = T(rho(T e_a) e_b - rho(T e_b) e_a) + 2 r(T e_b) T e_a
+    - 2 r(T e_a) T e_b.  t is the raw n x m operator, rho one raw m x m
+    matrix per algebra basis element."""
+    n, m = len(c), len(rho[0])
+    dot = lambda x, y: sum((p * q for p, q in zip(x, y)), Fraction(0))
+    cols = [[t[i][a] for i in range(n)] for a in range(m)]
+
+    def act(x, b):
+        """rho(x) e_b."""
+        return [sum((x[i] * rho[i][p][b] for i in range(n)), Fraction(0)) for p in range(m)]
+
+    out = {}
+    for a in range(m):
+        for b in range(m):
+            tu, tv = cols[a], cols[b]
+            lhs = bracket_vec(c, tu, tv)
+            inner = [x - y for x, y in zip(act(tu, b), act(tv, a))]
+            ru, rv = dot(r, tu), dot(r, tv)
+            rhs = [dot(t[k], inner) + 2 * rv * tu[k] - 2 * ru * tv[k] for k in range(n)]
+            if lhs != rhs:
+                out[(a, b)] = (lhs, rhs)
+    return out
+
+
 def matched_pair_residuals(c, cs, r, u, rho1, rho2, pi1, pi2):
     """Nonzero residuals of the four matched-pair conditions, per clause in
     loop order, as lists of (indices, residual).  c, r are the algebra's

@@ -1,9 +1,18 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from omegalie.algebras import abelian, check_lsa, check_omega_lie, left_symmetric
+from omegalie.algebras import (
+    LeftSymmetricAlgebra,
+    abelian,
+    check_lsa,
+    check_omega_lie,
+    left_symmetric,
+)
 from omegalie.errors import AxiomViolation
 from omegalie.linalg import Matrix, ThreeTensor, Vector
 from omegalie.operators import (
@@ -16,11 +25,17 @@ from omegalie.operators import (
     omega_lie_from_lsa,
     rep_from_lsa,
 )
-from omegalie.representations import Representation, check_representation
+from omegalie.representations import (
+    GenRepKind,
+    GenRepPair,
+    Representation,
+    adjoint_pair,
+    check_representation,
+)
 from omegalie.yang_baxter import YbeContext, yb_residual
 
-from conftest import make_e1_lsa, make_kt2_lsa, make_nc2_lsa, raw_table
-from oracles import adjoint, classical_cybe, classical_semidirect
+from conftest import corpus_lsas, make_e1_lsa, make_kt2_lsa, make_nc2_lsa, raw_table
+from oracles import adjoint, classical_cybe, classical_semidirect, transport_sides
 
 
 def e1_pipeline():
@@ -250,3 +265,138 @@ def test_lift_matches_classical_oracle(b2):
         ours = yb_residual(YbeContext(ambient, Vector.zero(4)), tensor)
         assert ours == ThreeTensor(oracle_res)
         assert raw_table(ambient) == oracle_table
+
+
+SCALES = (1, 2, -1, Fraction(1, 2), Fraction(3, 7))
+
+
+def _direct_sum(a, b):
+    p, q = a.shape[0], b.shape[0]
+    return Matrix([list(row) + [0] * q for row in a.rows] + [[0] * p + list(row) for row in b.rows])
+
+
+def _operators(rng, n, m):
+    """The zero operator, the identity when square, and two random n x m
+    operators with p/q entries."""
+    den = rng.choice((2, 3, 5))
+    ops = [Matrix.zero(n, m)] + ([Matrix.identity(n)] if n == m else [])
+    for _ in range(2):
+        ops.append(
+            Matrix([[Fraction(rng.randint(-3, 3), rng.choice((1, den))) for _ in range(m)] for _ in range(n)])
+        )
+    return ops
+
+
+def _transport_cases(rng):
+    """(algebra, family object, operator) triples: the representation of
+    rep_from_lsa (left multiplication plus 2 r_i I, built here) for each
+    corpus product at each scale, the scalar representation r_i I on a 1-dim
+    carrier and their direct sum, and the first-kind pairs made the same way
+    from the adjoint pair, so that T is square and non-square."""
+    for lsa in corpus_lsas():
+        for scale in SCALES:
+            alg = omega_lie_from_lsa(lsa, scale)
+            n = alg.dim
+            shifted = tuple(
+                Matrix([[lsa.table[i][j][k] + (2 * alg.r[i] if j == k else 0) for j in range(n)] for k in range(n)])
+                for i in range(n)
+            )
+            rep = Representation(alg, n, shifted)
+            scalar = tuple(alg.r[i] * Matrix.identity(1) for i in range(n))
+            ad = adjoint_pair(alg)
+            families = [
+                rep,
+                Representation(alg, 1, scalar),
+                Representation(alg, n + 1, tuple(map(_direct_sum, rep.rho, scalar))),
+                ad,
+                GenRepPair(alg, 1, scalar, scalar, GenRepKind.GEN_I),
+                GenRepPair(
+                    alg, n + 1, tuple(map(_direct_sum, ad.rho1, scalar)),
+                    tuple(map(_direct_sum, ad.rho2, scalar)), GenRepKind.GEN_I,
+                ),
+            ]
+            for fam in families:
+                for t in _operators(rng, n, fam.carrier_dim):
+                    yield alg, fam, t
+
+
+def _check(alg, fam, t):
+    if isinstance(fam, Representation):
+        return check_o_operator(alg, fam, t), fam.rho
+    return check_o_operator_gen(alg, fam, t), fam.rho1
+
+
+def _vec_str(v):
+    return "(" + ", ".join(str(x) for x in v) + ")"
+
+
+def test_transport_matches_oracle():
+    """check_o_operator and check_o_operator_gen report the oracle's
+    violations, in its order and with its values, on square and non-square
+    operators; both verdicts occur for both checkers."""
+    rng = random.Random(2501)
+    seen = set()
+    for alg, fam, t in _transport_cases(rng):
+        report, rho = _check(alg, fam, t)
+        n, m = alg.dim, fam.carrier_dim
+        raw_rho = [[[mat[p, q] for q in range(m)] for p in range(m)] for mat in rho]
+        raw_t = [[t[i, a] for a in range(m)] for i in range(n)]
+        expected = transport_sides(raw_table(alg), list(alg.r), raw_rho, raw_t)
+        (clause,) = report.clauses
+        got = [(v.indices, v.lhs, v.rhs) for v in clause.violations]
+        assert got == [(ab, _vec_str(l), _vec_str(r)) for ab, (l, r) in expected.items()]
+        seen.add((clause.name, report.passed))
+    assert seen == {
+        (name, verdict) for name in ("operator-identity", "operator-identity-gen") for verdict in (True, False)
+    }
+
+
+OPERATOR_REPORTS_SHA256 = "b632521e5248753a0994fccde35912f6410cee163c6b9bc458afe34a9d857f9b"
+
+
+def _outcome(build, render):
+    try:
+        return render(build())
+    except (ValueError, AxiomViolation) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_operator_reports_byte_stable():
+    """The transport reports of check_o_operator and check_o_operator_gen,
+    and the outputs or error messages of rep_from_lsa, genrep_from_lsa and
+    lsa_from_o_operator over seeded cases, render the recorded bytes."""
+    rng = random.Random(2502)
+    digest = hashlib.sha256()
+    seen = set()
+
+    def record(name, text):
+        seen.add((name, text.startswith(("ValueError", "AxiomViolation"))))
+        digest.update(f"{name}:{text}\n".encode())
+
+    families = lambda x: " ".join(map(repr, x))
+    for alg, fam, t in _transport_cases(rng):
+        report = _check(alg, fam, t)[0]
+        seen.add(("verdict", report.passed))
+        record("check", json.dumps(report.to_document(), sort_keys=True))
+        if isinstance(fam, Representation):
+            record("lsa", _outcome(
+                lambda: lsa_from_o_operator(alg, fam, t),
+                lambda out: f"{families(r for row in out.table for r in row)} {out.omega!r}",
+            ))
+    for lsa in corpus_lsas():
+        n = lsa.dim
+        for scale in SCALES:
+            alg = omega_lie_from_lsa(lsa, scale)
+            r = [Fraction(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(n)]
+            for target in (alg, abelian(n, Vector(r)), omega_lie_from_lsa(make_e1_lsa(), scale)):
+                record("rep", _outcome(lambda: rep_from_lsa(target, lsa), lambda out: families(out.rho)))
+            for form in (alg.r, Vector(r)):
+                mult = LeftSymmetricAlgebra(n, lsa.table, r=form)
+                record("genrep", _outcome(
+                    lambda: genrep_from_lsa(mult), lambda out: f"{families(out.rho1)} {families(out.rho2)}"
+                ))
+        record("genrep", _outcome(lambda: genrep_from_lsa(lsa), repr))
+    assert seen == {
+        (name, flag) for name in ("verdict", "lsa", "rep", "genrep") for flag in (True, False)
+    } | {("check", False)}
+    assert digest.hexdigest() == OPERATOR_REPORTS_SHA256
